@@ -79,7 +79,8 @@ def _twist_matrix(dim: int, i: int, scale: int = 1) -> list[list[int]]:
 
 def _int_inverse(m: list[list[int]]) -> Matrix:
     inv = linalg.inverse(linalg.frac_matrix(m))
-    assert all(x.denominator == 1 for row in inv for x in row)
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise AssertionError("inverse of an integer matrix is not integral")
     return inv
 
 
@@ -97,9 +98,8 @@ def homology_rep(strands: int) -> HomologyRep:
     omega = linalg.frac_matrix(form)
     for g in gens:
         gm = linalg.frac_matrix(g)
-        assert (
-            linalg.mat_mul(linalg.mat_mul(linalg.transpose(gm), omega), gm) == omega
-        ), "generator image is not symplectic"
+        if linalg.mat_mul(linalg.mat_mul(linalg.transpose(gm), omega), gm) != omega:
+            raise AssertionError("generator image is not symplectic")
     return rep
 
 
@@ -183,7 +183,8 @@ class SymplecticLift:
 def _refine(segs: list[PolyMatrix], k: int) -> list[PolyMatrix]:
     """Split the path of len(segs) pieces into k equal pieces."""
     m = len(segs)
-    assert k % m == 0
+    if k % m:
+        raise AssertionError("piece count does not refine the path")
     per = k // m
     out = []
     for seg in segs:
@@ -307,7 +308,8 @@ def standardize_form(rep: HomologyRep) -> tuple[Matrix, HomologyRep]:
     t = linalg.transpose(es + fs)
     std = linalg.mat_mul(linalg.mat_mul(linalg.transpose(t), omega), t)
     expected = SymplecticSpace.standard(n).form_matrix()
-    assert std == expected, "symplectic Gram-Schmidt failed"
+    if std != expected:
+        raise AssertionError("symplectic Gram-Schmidt failed")
     t_inv = linalg.inverse(t)
     new_gens = []
     for g in rep.generator_images:

@@ -117,7 +117,9 @@ def cmd_meyer(args: argparse.Namespace) -> int:
 
 
 def cmd_farey_path(args: argparse.Namespace) -> int:
-    if args.matrix:
+    if (args.word is None) == (args.matrix is None):
+        raise _UsageError("farey-path: give exactly one of a braid word or --matrix")
+    if args.matrix is not None:
         g = PSL2Element(parse_matrix(args.matrix))
     else:
         g = PSL2Element(project_b3(parse_braid(args.word, args.strands)))
@@ -188,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("farey-path", help="turn word of the Farey geodesic")
     p.add_argument("-n", "--strands", type=int, default=3)
-    p.add_argument("word", nargs="?", default="", help="braid word (B_3)")
+    p.add_argument("word", nargs="?", help="braid word (B_3); \"\" is the identity")
     p.add_argument("--matrix", help="SL(2,Z) matrix as 'a b; c d'")
     p.add_argument("--edges", action="store_true", help="emit the crossed edges")
     p.add_argument("--json", action="store_true")

@@ -1,13 +1,20 @@
-"""Small exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, computed on integers.
 
-Matrices are lists of row lists with Fraction entries.  Nothing here is
-clever; the symplectic machinery needs solve / nullspace / determinant on
-matrices of size at most a few dozen, computed exactly.
+Matrices are lists of row lists with Fraction entries.  The contract is
+Fraction in and Fraction out: every entry returned is a canonical Fraction,
+exactly the value rational Gaussian elimination gives.  Inside, products
+and eliminations clear denominators (a row, or a column of a right
+factor, is scaled by the lcm of its denominators) and work on Python
+ints: integer dot products for mat_mul and mat_vec, Bareiss elimination
+for det, and fraction-free Gauss-Jordan with gcd-reduced rows for rank,
+solve, inverse and nullspace.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import attrgetter, mul
 
 __all__ = [
     "frac_matrix",
@@ -32,6 +39,17 @@ __all__ = [
 
 Matrix = list[list[Fraction]]
 
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
+
+
+def _cleared(row) -> tuple[list[int], int]:
+    """(integer row, scale) with row == integer row / scale, scale > 0."""
+    scale = lcm(*map(_denominator, row))
+    if scale == 1:
+        return list(map(_numerator, row)), 1
+    return [x.numerator * (scale // x.denominator) for x in row], scale
+
 
 def frac_matrix(rows) -> Matrix:
     return [[Fraction(x) for x in row] for row in rows]
@@ -50,8 +68,12 @@ def transpose(m: Matrix) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    cols = [_cleared(col) for col in zip(*b)]
+    out = []
+    for row in a:
+        ia, sa = _cleared(row)
+        out.append([Fraction(sum(map(mul, ia, ib)), sa * sb) for ib, sb in cols])
+    return out
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -68,7 +90,12 @@ def mat_scale(a: Matrix, s) -> Matrix:
 
 
 def mat_vec(a: Matrix, v: list[Fraction]) -> list[Fraction]:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    iv, sv = _cleared(v)
+    out = []
+    for row in a:
+        ia, sa = _cleared(row)
+        out.append(Fraction(sum(map(mul, ia, iv)), sa * sv))
+    return out
 
 
 def hstack(a: Matrix, b: Matrix) -> Matrix:
@@ -79,29 +106,36 @@ def vstack(a: Matrix, b: Matrix) -> Matrix:
     return [list(r) for r in a] + [list(r) for r in b]
 
 
-def _echelon(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Row-reduce in place (on a copy); returns (rref, pivot columns)."""
-    m = [list(row) for row in m]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
+def _echelon(m: Matrix) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan on a copy; returns (rows, pivot columns).
+
+    Rows are integer and gcd-reduced.  Row r < len(pivots) divided by its
+    entry in column pivots[r] is row r of the reduced row echelon form; the
+    remaining rows are zero.
+    """
+    rows = [_cleared(row)[0] for row in m]
+    nrows = len(rows)
+    cols = len(rows[0]) if nrows else 0
     pivots = []
     r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        for i in range(nrows):
+            f = rows[i][c]
+            if f and i != r:
+                new = [p * x - f * y for x, y in zip(rows[i], prow)]
+                g = gcd(*new)
+                rows[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
         r += 1
-        if r == rows:
+        if r == nrows:
             break
-    return m, pivots
+    return rows, pivots
 
 
 def rank(m: Matrix) -> int:
@@ -109,32 +143,39 @@ def rank(m: Matrix) -> int:
 
 
 def det(m: Matrix) -> Fraction:
-    m = [list(row) for row in m]
-    n = len(m)
-    result = Fraction(1)
+    """Bareiss elimination: every division is exact."""
+    rows = []
+    scale = 1
+    for row in m:
+        ir, s = _cleared(row)
+        rows.append(ir)
+        scale *= s
+    n = len(rows)
+    sign = 1
+    prev = 1
     for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
+        pivot = next((i for i in range(c, n) if rows[i][c]), None)
         if pivot is None:
             return Fraction(0)
         if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            result = -result
-        result *= m[c][c]
-        inv = Fraction(1) / m[c][c]
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            sign = -sign
+        prow = rows[c]
+        p = prow[c]
         for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return result
+            f = rows[i][c]
+            rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], prow)]
+        prev = p
+    return Fraction(sign * prev, scale)
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix:
     """Solve a X = b for square invertible a (b may have many columns)."""
     n = len(a)
-    aug, pivots = _echelon(hstack(a, b))
+    rows, pivots = _echelon(hstack(a, b))
     if len(pivots) < n or pivots[-1] >= n:
         raise ValueError("matrix is singular")
-    return [row[n:] for row in aug[:n]]
+    return [[Fraction(x, row[c]) for x in row[n:]] for row, c in zip(rows, pivots)]
 
 
 def inverse(a: Matrix) -> Matrix:
@@ -145,14 +186,14 @@ def nullspace(m: Matrix) -> list[list[Fraction]]:
     """Basis of the right kernel."""
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    rref, pivots = _echelon(m)
+    ech, pivots = _echelon(m)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for fc in free:
         v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][fc]
+        for row, pc in zip(ech, pivots):
+            v[pc] = Fraction(-row[fc], row[pc])
         basis.append(v)
     return basis
 

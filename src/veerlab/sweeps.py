@@ -232,7 +232,8 @@ def _random_symplectic(n: int, rng: random.Random) -> linalg.Matrix:
         g = linalg.mat_mul(g, shear)
         if rng.random() < 0.4:
             g = linalg.mat_mul(g, space.form_matrix())
-    assert space.is_symplectic_matrix(g)
+    if not space.is_symplectic_matrix(g):
+        raise AssertionError("random product is not symplectic")
     return g
 
 
@@ -312,4 +313,6 @@ SUITES = {
 def run_suite(name: str, count: int, seed: int) -> dict:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
     return SUITES[name](count, seed)

@@ -20,6 +20,8 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from veerlab import linalg, poly
 from veerlab.linalg import Matrix
@@ -92,6 +94,10 @@ class SymplecticSpace:
 
     def doubled(self) -> "SymplecticSpace":
         """(V x V, omega + (-omega)), home of the graph Lagrangians."""
+        return self._doubled
+
+    @cached_property
+    def _doubled(self) -> "SymplecticSpace":
         d = self.dim
         form = [[Fraction(0)] * 2 * d for _ in range(2 * d)]
         for i in range(d):
@@ -147,43 +153,54 @@ def symmetric_form(rows) -> Matrix:
 def signature(m: Matrix) -> int:
     """Signature of a symmetric rational matrix, exactly.
 
-    Symmetric Gaussian elimination: a nonzero diagonal pivot contributes
-    its sign; when the active diagonal is all zero, a nonzero off-diagonal
-    entry spans a hyperbolic pair contributing zero.  Singular matrices are
-    fine (the radical contributes nothing).
+    Symmetric elimination on the integer matrix lcm(denominators) * m: a
+    nonzero diagonal pivot contributes its sign; when the active diagonal
+    is all zero, a nonzero off-diagonal entry spans a hyperbolic pair
+    contributing zero.  Singular matrices are fine (the radical contributes
+    nothing).  The Schur complement is scaled by |d| at a pivot d and by c^2
+    at a pair entry c; both are positive congruences, so the signature is
+    unchanged.  As in Bareiss elimination, the previous scale then divides
+    every entry exactly, which keeps the entries minors of the matrix.
     """
-    m = [list(row) for row in m]
     if not linalg.is_symmetric(m):
         raise ValueError("matrix is not symmetric")
-    active = list(range(len(m)))
+    scale = lcm(*[x.denominator for row in m for x in row])
+    a = [[x.numerator * (scale // x.denominator) for x in row] for row in m]
+    prev = 1
     sig = 0
-    while active:
-        piv = next((i for i in active if m[i][i] != 0), None)
+    while a:
+        k = len(a)
+        piv = next((i for i in range(k) if a[i][i]), None)
         if piv is not None:
-            d = m[piv][piv]
-            sig += 1 if d > 0 else -1
-            active.remove(piv)
-            rows = {i: m[i][piv] / d for i in active if m[i][piv] != 0}
-            for i, f in rows.items():
-                for j in active:
-                    m[i][j] -= f * m[piv][j]
+            d = a[piv][piv]
+            s = 1 if d > 0 else -1
+            sig += s
+            rest = [i for i in range(k) if i != piv]
+            prow = a[piv]
+            a = [
+                [(abs(d) * a[i][j] - s * a[i][piv] * prow[j]) // prev for j in rest]
+                for i in rest
+            ]
+            prev = abs(d)
             continue
-        pair = None
-        for i, j in itertools.combinations(active, 2):
-            if m[i][j] != 0:
-                pair = (i, j)
-                break
+        pair = next(
+            ((i, j) for i, j in itertools.combinations(range(k), 2) if a[i][j]), None
+        )
         if pair is None:
             break
         i0, j0 = pair
-        c = m[i0][j0]
-        active.remove(i0)
-        active.remove(j0)
-        for i in active:
-            fi, fj = m[i][i0], m[i][j0]
-            if fi or fj:
-                for j in active:
-                    m[i][j] -= (fi * m[j0][j] + fj * m[i0][j]) / c
+        c = a[i0][j0]
+        rest = [i for i in range(k) if i != i0 and i != j0]
+        r0, r1 = a[i0], a[j0]
+        a = [
+            [
+                (c * c * a[i][j] - c * (a[i][i0] * r1[j] + a[i][j0] * r0[j]))
+                // (prev * prev)
+                for j in rest
+            ]
+            for i in rest
+        ]
+        prev = c * c // prev
     return sig
 
 
@@ -339,7 +356,7 @@ class LagrangianPath:
                 f = frame(self.space, pm_eval(seg, t))  # rank check at samples
                 if t == 0 and prev_end is not None and not f.same_subspace(prev_end):
                     raise ValueError("segment endpoints do not match")
-            prev_end = frame(self.space, pm_eval(seg, Fraction(1)))
+            prev_end = f  # the t = 1 frame
 
     def segment_matrices(self) -> list[PolyMatrix]:
         return [[[entry for entry in row] for row in seg] for seg in self.segments]
@@ -501,7 +518,7 @@ def ternary_index(
             chosen.append(vec)
     vs = [linalg.mat_vec(f3, vec[2 * n :]) for vec in chosen]
     v2s = [linalg.mat_vec(f2, vec[n : 2 * n]) for vec in chosen]
-    q = [[space.omega(v2, v) for v in vs] for v2 in v2s]
+    q = linalg.mat_mul(linalg.mat_mul(v2s, space.form_matrix()), linalg.transpose(vs))
     if not linalg.is_symmetric(q):
         raise AssertionError("ternary form is not symmetric")
     return signature(q)

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -176,3 +179,23 @@ def test_odd_strands_required():
     # burau_matrix embeds even words automatically.
     m = burau.burau_matrix(parse_braid("1 1 1", 2))
     assert m == burau.burau_matrix(parse_braid("1 1 1", 3))
+
+
+def test_invariant_checks_survive_optimized_mode():
+    # Internal invariants raise AssertionError explicitly, so `python -O`
+    # (which strips assert statements) keeps them.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "from veerlab import burau\n"
+        "for call in (lambda: burau._int_inverse([[2, 0], [0, 1]]),\n"
+        "             lambda: burau._refine([[[0]]] * 2, 3)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except AssertionError:\n"
+        "        continue\n"
+        "    raise SystemExit('invariant check was skipped')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -95,3 +95,32 @@ def test_sweep_env_seed(capsys, monkeypatch):
     code, report, _ = run(capsys, ["sweep", "--suite", "rademacher", "--count", "50", "--seed", "7"])
     assert code == 0
     assert report["seed"] == 12345
+
+
+def test_sweep_negative_count_exits_one(capsys):
+    code, payload, err = run(capsys, ["sweep", "--suite", "theorem-lk", "--count", "-3"])
+    assert code == 1 and payload is None
+    assert "count" in err and "-3" in err
+    code, report, _ = run(capsys, ["sweep", "--suite", "theorem-lk", "--count", "0"])
+    assert code == 0 and report["count"] == 0
+
+
+def test_farey_path_needs_word_or_matrix(capsys):
+    code, payload, err = run(capsys, ["farey-path"])
+    assert code == 1 and payload is None
+    assert "--matrix" in err
+    code, payload, err = run(capsys, ["farey-path", "1", "--matrix", "1 -1; 1 0"])
+    assert code == 1 and payload is None
+    # The empty word, given explicitly, is the identity.
+    code, report, _ = run(capsys, ["farey-path", ""])
+    assert code == 0 and report["turns"] == ""
+
+
+def test_internal_invariant_exits_two(capsys, monkeypatch):
+    def broken(args):
+        raise AssertionError("generator image is not symplectic")
+
+    monkeypatch.setattr(cli, "cmd_maslov", broken)
+    code, payload, err = run(capsys, ["maslov", "-n", "3", "1"])
+    assert code == 2 and payload is None
+    assert "internal invariant violated" in err

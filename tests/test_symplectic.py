@@ -283,3 +283,26 @@ def test_graph_lagrangian_examples():
         space.doubled(), linalg.frac_matrix([[1, 0], [0, 1], [1, 1], [0, 1]])
     )
     assert gh.same_subspace(expected)
+
+
+def test_doubled_space_built_once():
+    space = sp.SymplecticSpace.standard(2)
+    assert space.doubled() is space.doubled()
+    d = space.doubled().form_matrix()
+    assert len(d) == 8 and d[2][0] == -1 and d[6][4] == 1 and d[4][0] == 0
+    assert space.doubled() == sp.SymplecticSpace.standard(2).doubled()
+
+
+def test_path_validates_each_frame_once(monkeypatch):
+    # Three sample frames per segment (t = 0, 1/2, 1), each built and
+    # validated once; a segment's start is matched against the previous end.
+    space = sp.SymplecticSpace.standard(1)
+    x_axis = [[poly.pconst(1)], [poly.pzero()]]
+    tilt = [[poly.pconst(1)], [poly.poly([0, 1])]]  # from the x-axis to (1, 1)
+    built = []
+    real_frame = sp.frame
+    monkeypatch.setattr(sp, "frame", lambda s, b: built.append(b) or real_frame(s, b))
+    sp.LagrangianPath(space, (x_axis, tilt, sp.constant_poly_matrix([[1], [1]])))
+    assert len(built) == 9
+    with pytest.raises(ValueError, match="endpoints"):
+        sp.LagrangianPath(space, (tilt, x_axis))
