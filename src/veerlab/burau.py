@@ -103,7 +103,9 @@ def homology_rep(strands: int) -> HomologyRep:
     return rep
 
 
+@lru_cache(maxsize=None)
 def symplectic_space(strands: int) -> SymplecticSpace:
+    """The homology space of B_strands, built and validated once per count."""
     rep = homology_rep(strands if strands % 2 == 1 else strands + 1)
     return SymplecticSpace(tuple(tuple(Fraction(x) for x in row) for row in rep.form))
 

@@ -4,6 +4,7 @@ Every subcommand prints one JSON object on stdout.  Rationals are
 serialized as "p/q" strings so no floating point ever appears.  Exit codes:
 0 success, 1 input error, 2 mathematical invariant violation (an identity
 check failed or a sweep found failures); the latter is never swallowed.
+3 a termination bound of the chart engine was hit (the message names it).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import os
 import sys
 from fractions import Fraction
 
-from veerlab import farey, linkinv, sweeps, torus
+from veerlab import farey, linkinv, sweeps, symplectic, torus
 from veerlab.braid import BraidWord, linking_number, parse_braid
 from veerlab.modular import (
     Classification,
@@ -28,6 +29,7 @@ from veerlab.modular import (
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INVARIANT = 2
+EXIT_BOUND = 3
 
 
 class _UsageError(Exception):
@@ -101,13 +103,13 @@ def cmd_maslov(args: argparse.Namespace) -> int:
 
 
 def cmd_meyer(args: argparse.Namespace) -> int:
-    from veerlab import burau, linalg, symplectic
+    from veerlab import burau, linalg
 
     a = parse_braid(args.word, args.strands)
     b = parse_braid(args.word2, args.strands)
     ao, bo = burau._odd_word(a), burau._odd_word(b)
     space = burau.symplectic_space(ao.strands)
-    value = symplectic.meyer(
+    value = symplectic.meyer_closed_form(
         space,
         linalg.frac_matrix(burau.burau_matrix(ao)),
         linalg.frac_matrix(burau.burau_matrix(bo)),
@@ -221,6 +223,9 @@ def main(argv: list[str] | None = None) -> int:
     except AssertionError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except symplectic.BoundExceeded as exc:
+        print(f"bound exceeded: {exc}", file=sys.stderr)
+        return EXIT_BOUND
 
 
 if __name__ == "__main__":

@@ -4,8 +4,11 @@ The oracle builds the Seifert matrix of the canonical Seifert surface of
 the closed braid (one disk per strand, one band per letter; H_1 basis from
 consecutive same-column band pairs) and takes the signature of V + V^T.
 The second engine never sees the diagram: it factors the braid into
-letters, maps them by Burau at -1, and accumulates Meyer cocycle values,
-using that each letter closes to an unknot of signature zero.
+letters, maps them by Burau at -1, and accumulates Meyer cocycle values
+(the closed form in the 2n-dimensional homology space), using that each
+letter closes to an unknot of signature zero.  The Maslov index of the
+lifted path, for sign = -lk + 2 mu, is counted by crossings in the same
+2n-dimensional space; the doubled-space chart engine cross-checks it.
 
 Sign conventions are calibrated so the positive Hopf link (closure of
 sigma_1^2) has signature -1 and the right trefoil -2; the dual-engine
@@ -31,6 +34,7 @@ __all__ = [
     "seifert_signature",
     "meyer_signature",
     "maslov_of_word",
+    "maslov_by_charts",
     "verify_sign_maslov",
     "verify_eq_signature",
     "gg_remark_check",
@@ -105,13 +109,101 @@ def meyer_signature(b: BraidWord) -> int:
     suffix = images[-1]
     total = 0
     for i in range(len(letters) - 2, -1, -1):
-        total += symplectic.meyer(space, images[i], suffix)
+        total += symplectic.meyer_closed_form(space, images[i], suffix)
         suffix = linalg.mat_mul(images[i], suffix)
     return -total
 
 
 def maslov_of_word(b: BraidWord) -> Fraction:
-    """mu(Graph(lift(b)), Graph(id)) in the doubled homology space."""
+    """mu(Graph(lift(b)), Graph(id)) by crossing counts in dimension 2n.
+
+    Lift segment j is Psi(t) = P + t PN, where P is the integer image of
+    the prefix and N v = -s omega(v, C) C is the letter's rank-one twist
+    generator (C = C_{|letter|}, s the letter's sign).  So Psi(t) - I is
+    the pencil A + t x y^T with A = P - I, x = -s P C and y^T v =
+    omega(v, C).  Proof sketch (Robbin-Salamon, Topology 32, 1993): the
+    index of the graph path against the diagonal counts crossings, the t
+    with Psi(t) - I singular.  On ker(Psi(t) - I) the crossing form is
+    s omega(u, C)^2 (oriented so that sigma_1 has mu = 1/2, as in the
+    chart engine), so every segment is semidefinite of sign s and a
+    crossing adds s times the kernel dimension beyond the generic one,
+    halved at the ends t = 0, 1.  The generic kernel is the persistent
+    one, ker(P - I) intersect C^omega: a nondegenerate crossing would
+    persist, but nondegenerate crossings are isolated.  The rank of a
+    rank-one pencil is generic except at one t* at most, where it drops by
+    exactly 1 (see `_pencil`).  A segment thus contributes
+
+        s [(r_g - r(0))/2 + (r_g - r(1))/2 + (1 if 0 < t* < 1)],
+
+    with r(t) = rank(Psi(t) - I) and r_g its generic value.  r(1) is the
+    next segment's r(0), so each prefix rank is computed once.  A rank
+    drop other than 0 or 1 contradicts the sketch: AssertionError.  The
+    chart engine on the doubled space (`maslov_by_charts`) is the
+    independent cross-check.
+    """
+    b = burau._odd_word(b)
+    form = burau.homology_rep(b.strands).form
+    dim = b.strands - 1
+    prefix = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    segments = []  # (s, r(0), r_g, t*) per letter
+    for letter in b.letters:
+        s = 1 if letter > 0 else -1
+        c = abs(letter) - 1
+        x = [-s * row[c] for row in prefix]
+        y = [row[c] for row in form]  # omega(v, C) = sum_i v_i omega(C_i, C)
+        segments.append((s, *_pencil(_minus_identity(prefix), x, y)))
+        prefix = [[p + xi * yj for p, yj in zip(row, y)] for row, xi in zip(prefix, x)]
+    # r(1) of a segment is r(0) of the next; the last one's is rank(g - I).
+    ends = [seg[1] for seg in segments[1:]] + [linalg.rank(_minus_identity(prefix))]
+    return sum((_segment_term(*seg, r1) for seg, r1 in zip(segments, ends)), Fraction(0))
+
+
+def _minus_identity(m: list[list[int]]) -> list[list[int]]:
+    return [[p - (i == j) for j, p in enumerate(row)] for i, row in enumerate(m)]
+
+
+def _pencil(a, x, y) -> tuple[int, int, Fraction | None]:
+    """(rank A, generic rank of A + t x y^T, the t* where it drops, or None).
+
+    With x = A a and y^T = z^T A, A + t x y^T = (I + t x z^T) A loses rank
+    exactly where 1 + t y^T a = 0, and by 1 (x != 0 lies in col A); if
+    only one of x in col A, y in row A holds the rank is rank A for all t;
+    if neither, rank A + 1 for t != 0.  One nullspace of [A | x] gives
+    rank A, a particular a, and ker A = (row A)^perp.
+    """
+    dim = len(a)
+    null = linalg.nullspace([row + [xi] for row, xi in zip(a, x)])
+    part = next((v for v in null if v[dim]), None)
+    if part is None:
+        kernel = [v[:dim] for v in null]
+    else:
+        kernel = [
+            [vi - v[dim] / part[dim] * pi for vi, pi in zip(v[:dim], part[:dim])]
+            for v in null
+            if v is not part
+        ]
+    r0 = dim - len(kernel)
+    y_in = all(sum(yi * ki for yi, ki in zip(y, k)) == 0 for k in kernel)
+    if part is None:
+        return r0, r0 if y_in else r0 + 1, None
+    if not y_in:
+        return r0, r0, None
+    q = -sum(yi * pi for yi, pi in zip(y, part[:dim])) / part[dim]  # y^T a
+    return r0, r0, (-1 / q if q else None)
+
+
+def _segment_term(s: int, r0: int, r_g: int, t_star: Fraction | None, r1: int) -> Fraction:
+    """s [(r_g - r(0))/2 + (r_g - r(1))/2 + (1 if 0 < t* < 1)]."""
+    drops = (r_g - r0, r_g - r1)
+    if any(d not in (0, 1) for d in drops):
+        raise AssertionError(f"rank drop {drops} on a lift segment; a rank-one pencil allows 0 or 1")
+    inner = 1 if t_star is not None and 0 < t_star < 1 else 0
+    return s * (Fraction(r_g - r0 + r_g - r1, 2) + inner)
+
+
+def maslov_by_charts(b: BraidWord) -> Fraction:
+    """The cross-check of `maslov_of_word`: the chart engine on the graph
+    path of the lift in the doubled homology space."""
     b = burau._odd_word(b)
     space = burau.symplectic_space(b.strands)
     gid = symplectic.graph_lagrangian(space, linalg.identity(b.strands - 1))
@@ -144,7 +236,7 @@ def verify_eq_signature(a: BraidWord, b: BraidWord) -> dict:
     space = burau.symplectic_space(ao.strands)
     ga = linalg.frac_matrix(burau.burau_matrix(ao))
     gb = linalg.frac_matrix(burau.burau_matrix(bo))
-    my = symplectic.meyer(space, ga, gb)
+    my = symplectic.meyer_closed_form(space, ga, gb)
     s_ab = seifert_signature(BraidWord(a.strands, a.letters + b.letters))
     s_a = seifert_signature(a)
     s_b = seifert_signature(b)

@@ -137,7 +137,8 @@ def suite_cochain(count: int, seed: int) -> dict:
 
 
 def suite_signatures(count: int, seed: int) -> dict:
-    """Seifert oracle equals the Meyer-cocycle engine on random closures."""
+    """Seifert oracle equals the Meyer-cocycle engine (closed form) on
+    random closures."""
     rng = random.Random(seed)
     failures = []
     for i in range(count):
@@ -149,15 +150,20 @@ def suite_signatures(count: int, seed: int) -> dict:
 
 
 def suite_sign_maslov(count: int, seed: int) -> dict:
-    """sign = -lk + 2 mu on random words in B_3 and B_5."""
+    """sign = -lk + 2 mu on random words in B_3 and B_5, with mu by
+    crossing counts, which must equal mu by the chart engine."""
     rng = random.Random(seed)
     failures = []
     for i in range(count):
         strands = 3 if i % 2 == 0 else 5
         w = random_word(rng, strands, 12 if strands == 3 else 10)
         report = linkinv.verify_sign_maslov(w)
-        if not report["equal"]:
-            failures.append(report)
+        charts = linkinv.maslov_by_charts(w)
+        if not report["equal"] or charts != report["mu"]:
+            record = {**report, "mu_charts": charts}
+            failures.append(
+                {k: str(v) if isinstance(v, Fraction) else v for k, v in record.items()}
+            )
     return _result("sign-maslov", count, seed, failures)
 
 
@@ -176,7 +182,8 @@ def suite_eq_signature(count: int, seed: int) -> dict:
 
 
 def suite_meyer_cocycle(count: int, seed: int) -> dict:
-    """Meyer(g1,g2) + Meyer(g1g2,g3) = Meyer(g2,g3) + Meyer(g1,g2g3)."""
+    """Meyer(g1,g2) + Meyer(g1g2,g3) = Meyer(g2,g3) + Meyer(g1,g2g3) by the
+    closed form, which must equal the ternary-index form on each pair."""
     rng = random.Random(seed)
     failures = []
     for i in range(count):
@@ -188,9 +195,10 @@ def suite_meyer_cocycle(count: int, seed: int) -> dict:
         ]
         g12 = linalg.mat_mul(gs[0], gs[1])
         g23 = linalg.mat_mul(gs[1], gs[2])
-        lhs = symplectic.meyer(space, gs[0], gs[1]) + symplectic.meyer(space, g12, gs[2])
-        rhs = symplectic.meyer(space, gs[1], gs[2]) + symplectic.meyer(space, gs[0], g23)
-        if lhs != rhs:
+        pairs = [(gs[0], gs[1]), (g12, gs[2]), (gs[1], gs[2]), (gs[0], g23)]
+        closed = [symplectic.meyer_closed_form(space, a, b) for a, b in pairs]
+        ternary = [symplectic.meyer(space, a, b) for a, b in pairs]
+        if closed[0] + closed[1] != closed[2] + closed[3] or closed != ternary:
             failures.append({"strands": strands})
     return _result("meyer-cocycle", count, seed, failures)
 

@@ -2,16 +2,26 @@
 
 Lagrangian frames, chart coordinates, signatures of symmetric forms, the
 Maslov index of piecewise-polynomial Lagrangian paths, the ternary index of
-Lagrangian triples, and the Meyer cocycle.  Everything is computed over the
-rationals; a Maslov index is a half-integer and admits no tolerance.
+Lagrangian triples, and the Meyer cocycle in two forms.  Everything is
+computed over the rationals; a Maslov index is a half-integer and admits no
+tolerance.
 
-The Maslov index of a path gamma with respect to a reference Lagrangian L0
-is computed chartwise: subdivide until each piece is transverse to some
-Lagrangian complement L0' of L0 (certified exactly by Sturm root counting
+The chart engine serves general paths: the ternary-index lemma on rational
+frames, Meyer values from lifts, and the cross-check of the braid-lift
+Maslov index (which `linkinv.maslov_of_word` computes by crossing counts in
+V itself).  The Maslov index of a path gamma with respect to a reference
+Lagrangian L0 is computed chartwise: subdivide until each piece is
+transverse to some Lagrangian complement L0' of L0 (certified exactly by Sturm root counting
 of the transversality determinant), write the piece as graphs {y = A(t) x}
 in the dual coordinates of (L0, L0'), and sum the half-signature
 differences of A at the piece endpoints.  Endpoints may lie on the Maslov
 cycle of L0 (singular A is fine); only transversality to L0' is required.
+Its two termination bounds (subdivision depth, the search for a transverse
+complement) raise BoundExceeded, naming the bound.
+
+The Meyer cocycle has a closed form in V (`meyer_closed_form`, the default
+engine) and the ternary index of graphs in the doubled space V x V
+(`meyer`, the cross-check).
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ __all__ = [
     "LagrangianFrame",
     "LagrangianPath",
     "ChartMissError",
+    "BoundExceeded",
     "signature",
     "symmetric_form",
     "chart_coordinates",
@@ -40,15 +51,24 @@ __all__ = [
     "ternary_index",
     "ternary_index_kernel",
     "meyer",
+    "meyer_closed_form",
     "graph_lagrangian",
     "graph_path",
-    "segment_from_matrices",
     "constant_poly_matrix",
 ]
 
 
 class ChartMissError(Exception):
     """The Lagrangian is not transverse to the chart's complement."""
+
+
+class BoundExceeded(RuntimeError):
+    """A termination bound of the chart engine was hit; the message names it."""
+
+
+# Termination bounds of the chart engine.
+_MAX_DEPTH = 64  # chart subdivision depth
+_COMPLEMENT_TRIES = 60  # random symmetric matrices tried for a complement
 
 
 @dataclass(frozen=True)
@@ -273,14 +293,6 @@ def constant_poly_matrix(m: Matrix) -> PolyMatrix:
     return [[poly.pconst(x) for x in row] for row in m]
 
 
-def segment_from_matrices(a: Matrix, b: Matrix) -> PolyMatrix:
-    """The straight-line segment (1 - t) a + t b, entrywise."""
-    return [
-        [poly.poly([xa, xb - xa]) for xa, xb in zip(ra, rb)]
-        for ra, rb in zip(a, b)
-    ]
-
-
 def pm_eval(pm: PolyMatrix, t) -> Matrix:
     return [[poly.peval(entry, t) for entry in row] for row in pm]
 
@@ -361,12 +373,6 @@ class LagrangianPath:
     def segment_matrices(self) -> list[PolyMatrix]:
         return [[[entry for entry in row] for row in seg] for seg in self.segments]
 
-    def start_frame(self) -> LagrangianFrame:
-        return frame(self.space, pm_eval(self.segment_matrices()[0], Fraction(0)))
-
-    def end_frame(self) -> LagrangianFrame:
-        return frame(self.space, pm_eval(self.segment_matrices()[-1], Fraction(1)))
-
     def reversed(self) -> "LagrangianPath":
         segs = []
         for seg in reversed(self.segment_matrices()):
@@ -424,10 +430,13 @@ def _bespoke_complement(
         basis = linalg.mat_add(linalg.mat_mul(u, c_mat), v.basis_matrix())
         if linalg.det(linalg.hstack(target, basis)) != 0:
             return frame(space, basis)
-    raise RuntimeError("no transverse complement found (should be generic)")
+    raise BoundExceeded(
+        "transverse complement search: none among the candidate shears and "
+        f"{_COMPLEMENT_TRIES} random symmetric matrices"
+    )
 
 
-def _random_symmetrics(n: int, rng: random.Random, tries: int = 60):
+def _random_symmetrics(n: int, rng: random.Random, tries: int = _COMPLEMENT_TRIES):
     for k in range(tries):
         bound = 2 + k // 10
         m = linalg.zeros(n, n)
@@ -472,8 +481,8 @@ def _segment_index(
     stack = [(Fraction(0), Fraction(1), 0)]
     while stack:
         a, b, depth = stack.pop()
-        if depth > 64:
-            raise RuntimeError("chart subdivision failed to terminate")
+        if depth > _MAX_DEPTH:
+            raise BoundExceeded(f"chart subdivision depth exceeded {_MAX_DEPTH}")
         found = None
         for idx in range(len(pool)):
             d = det_against(idx)
@@ -578,3 +587,28 @@ def meyer(
     l2 = graph_lagrangian(space, g1)
     l3 = graph_lagrangian(space, linalg.mat_mul(g1, g2))
     return ternary_index(l1, l2, l3)
+
+
+def meyer_closed_form(space: SymplecticSpace, g1: Matrix, g2: Matrix) -> int:
+    """Meyer cocycle of (A, B) = (g1, g2) by Turaev's closed form, in V.
+
+    The signature of the form omega(x1 + y1, (I - B) y2) on
+    W = {(x, y) in V x V : (A^-1 - I) x + (B - I) y = 0}.  The form is
+    symmetric on W (Meyer), which is asserted, so its symmetrization is
+    itself.  The value equals `meyer` (the ternary index of graphs in
+    V x V) for every symplectic pair; the meyer-cocycle sweep checks that.
+    """
+    for g in (g1, g2):
+        if not space.is_symplectic_matrix(g):
+            raise ValueError("matrix does not preserve the form")
+    d = space.dim
+    ident = linalg.identity(d)
+    b_minus = linalg.mat_sub(g2, ident)
+    w = linalg.nullspace(linalg.hstack(linalg.mat_sub(linalg.inverse(g1), ident), b_minus))
+    left = [[x + y for x, y in zip(v[:d], v[d:])] for v in w]
+    right = [linalg.mat_vec(b_minus, v[d:]) for v in w]
+    # q is omega(x1 + y1, (B - I) y2), the negative of the Meyer form.
+    q = linalg.mat_mul(linalg.mat_mul(left, space.form_matrix()), linalg.transpose(right))
+    if not linalg.is_symmetric(q):
+        raise AssertionError("Meyer form is not symmetric")
+    return -signature(q)

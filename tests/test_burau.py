@@ -199,3 +199,8 @@ def test_invariant_checks_survive_optimized_mode():
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_symplectic_space_built_once():
+    assert burau.symplectic_space(5) is burau.symplectic_space(5)
+    assert burau.symplectic_space(5).doubled() is burau.symplectic_space(5).doubled()

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 from veerlab import cli
 
@@ -124,3 +125,40 @@ def test_internal_invariant_exits_two(capsys, monkeypatch):
     code, payload, err = run(capsys, ["maslov", "-n", "3", "1"])
     assert code == 2 and payload is None
     assert "internal invariant violated" in err
+
+
+def test_bound_exceeded_exits_three(capsys, monkeypatch):
+    from veerlab import symplectic
+
+    # The sign-maslov sweep runs the chart engine; no subdivision depth passes.
+    monkeypatch.setattr(symplectic, "_MAX_DEPTH", -1)
+    code, payload, err = run(capsys, ["sweep", "--suite", "sign-maslov", "--count", "2"])
+    assert code == 3 and payload is None
+    assert "bound exceeded" in err and "chart subdivision depth" in err
+
+
+def test_sign_maslov_sweep_reports_a_chart_mismatch(capsys, monkeypatch):
+    from veerlab import linkinv
+
+    monkeypatch.setattr(linkinv, "maslov_by_charts", lambda w: linkinv.maslov_of_word(w) + 1)
+    code, report, _ = run(capsys, ["sweep", "--suite", "sign-maslov", "--count", "3"])
+    assert code == 2 and report["failures"] == 3
+    example = report["failed_examples"][0]
+    assert Fraction(example["mu_charts"]) == Fraction(example["mu"]) + 1
+
+
+def test_invariants_stays_in_the_2n_space(capsys, monkeypatch):
+    from veerlab import burau, poly, symplectic
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("doubled-space engine entered")
+
+    for module, name in ((symplectic, "graph_lagrangian"), (symplectic, "graph_path"),
+                         (symplectic, "maslov_index"), (symplectic, "meyer"),
+                         (symplectic, "ternary_index"), (burau, "graph_path_of"),
+                         (poly, "peval")):
+        monkeypatch.setattr(module, name, forbidden)
+    code, report, _ = run(capsys, ["invariants", "-n", "5", "1 -2 3 4 -3 2 2 1 -4"])
+    assert code == 0 and all(report["identity_checks"].values())
+    code, report, _ = run(capsys, ["invariants", "-n", "3", W25])
+    assert code == 0 and report["maslov"] == {"mu": "1", "two_mu": 2}

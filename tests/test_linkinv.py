@@ -148,3 +148,69 @@ def test_quasipositive_signature_shadow():
         sign = linkinv.seifert_signature(w)
         mu = linkinv.maslov_of_word(w)
         assert Fraction(sign) <= 2 * mu
+
+
+def _crossing_words():
+    """About 100 seeded words for the crossing-count engine: the empty word,
+    single letters, even strand counts (embedded), positive-only and
+    periodic words, and B_9."""
+    rng = random.Random(59)
+    words = [BraidWord.identity(n) for n in (2, 3, 4, 5)]
+    words += [BraidWord(n, (k,)) for n in (3, 4, 5) for k in range(-(n - 1), n) if k]
+    for n in (3, 4, 5, 6, 7):
+        words += [random_word(rng, n, 12 if n < 7 else 8) for _ in range(10)]
+    for n in (3, 5):
+        words += [BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(10))) for _ in range(4)]
+    for n in (3, 4, 5):
+        for _ in range(3):
+            base = random_word(rng, n, 3).letters or (1,)
+            words.append(BraidWord(n, base * (9 // len(base))))
+    words += [random_word(rng, 9, 6) for _ in range(6)]
+    words.append(BraidWord(9, (1, 3, 5, 7, 2, 4, 6, 8)))
+    return words
+
+
+def test_crossing_count_matches_chart_engine():
+    words = _crossing_words()
+    assert len(words) >= 95
+    for w in words:
+        assert linkinv.maslov_of_word(w) == linkinv.maslov_by_charts(w), w
+    assert linkinv.maslov_of_word(BraidWord.identity(3)) == 0
+    assert linkinv.maslov_of_word(parse_braid("1", 3)) == Fraction(1, 2)
+    assert linkinv.maslov_of_word(parse_braid("-2", 3)) == Fraction(-1, 2)
+
+
+def test_crossing_count_rejects_a_rank_two_drop(monkeypatch):
+    from veerlab import burau, linalg
+
+    w = parse_braid("1 2", 3)
+    g = burau.burau_matrix(w)
+    assert linalg.rank([[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(g)]) == 2
+    real_rank = linalg.rank
+    # Forge the final rank two below the generic rank of the last segment.
+    monkeypatch.setattr(linalg, "rank", lambda m: real_rank(m) - 2)
+    with pytest.raises(AssertionError, match="rank drop"):
+        linkinv.maslov_of_word(w)
+    with pytest.raises(AssertionError, match="rank drop"):
+        linkinv._segment_term(1, 3, 3, None, 1)
+
+
+def test_crossing_check_detects_a_flipped_segment(monkeypatch):
+    words = _crossing_words()[:40]
+    charts = [linkinv.maslov_by_charts(w) for w in words]
+    real_term = linkinv._segment_term
+    seen = []
+
+    def flip_first(*args):
+        term = real_term(*args)
+        seen.append(term)
+        return -term if len(seen) == 1 else term
+
+    misses = 0
+    for w, mu in zip(words, charts):
+        seen.clear()
+        monkeypatch.setattr(linkinv, "_segment_term", flip_first)
+        misses += linkinv.maslov_of_word(w) != mu
+        monkeypatch.setattr(linkinv, "_segment_term", real_term)
+        assert linkinv.maslov_of_word(w) == mu
+    assert misses > 0

@@ -306,3 +306,36 @@ def test_path_validates_each_frame_once(monkeypatch):
     assert len(built) == 9
     with pytest.raises(ValueError, match="endpoints"):
         sp.LagrangianPath(space, (tilt, x_axis))
+
+
+def test_meyer_closed_form_matches_ternary():
+    from veerlab import burau
+    from veerlab.sweeps import random_word
+
+    rng = random.Random(38)
+    for trial in range(45):
+        n = (3, 5, 7)[trial % 3]
+        space = burau.symplectic_space(n)
+        g1 = linalg.frac_matrix(burau.burau_matrix(random_word(rng, n, 8)))
+        g2 = linalg.frac_matrix(burau.burau_matrix(random_word(rng, n, 8)))
+        ident = linalg.identity(n - 1)
+        for a, b in ((g1, g2), (ident, g2), (g1, ident), (g1, linalg.inverse(g1))):
+            assert sp.meyer_closed_form(space, a, b) == sp.meyer(space, a, b)
+    for trial in range(30):
+        n = 1 + trial % 3
+        space = sp.SymplecticSpace.standard(n)
+        g1, g2 = _random_symplectic(n, rng), _random_symplectic(n, rng)
+        assert sp.meyer_closed_form(space, g1, g2) == sp.meyer(space, g1, g2)
+    space = sp.SymplecticSpace(((Fraction(0), Fraction(1)), (Fraction(-1), Fraction(0))))
+    g = linalg.frac_matrix([[1, 1], [0, 1]])
+    assert sp.meyer_closed_form(space, g, g) == 1
+    with pytest.raises(ValueError):
+        sp.meyer_closed_form(space, g, [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(1)]])
+
+
+def test_bespoke_complement_bound():
+    space = sp.SymplecticSpace.standard(1)
+    lam0 = sp.frame(space, [[Fraction(1)], [Fraction(0)]])
+    # A degenerate target is transverse to no complement.
+    with pytest.raises(sp.BoundExceeded, match="transverse complement"):
+        sp._bespoke_complement(lam0, linalg.zeros(2, 1), random.Random(0))
