@@ -54,17 +54,17 @@ def intersection_form(genus: int) -> Matrix:
 
 @dataclass(frozen=True)
 class HomologyRep:
-    """Generator images and the intersection form for odd strand count."""
+    """Generator images, their inverses and the intersection form for odd
+    strand count."""
 
     strands: int
     generator_images: tuple
     form: tuple
+    inverse_images: tuple
 
     def image(self, letter: int) -> Matrix:
-        gen = [list(row) for row in self.generator_images[abs(letter) - 1]]
-        if letter > 0:
-            return gen
-        return [[int(x) for x in row] for row in _int_inverse(gen)]
+        images = self.generator_images if letter > 0 else self.inverse_images
+        return [list(row) for row in images[abs(letter) - 1]]
 
 
 def _twist_matrix(dim: int, i: int, scale: int = 1) -> list[list[int]]:
@@ -93,13 +93,20 @@ def homology_rep(strands: int) -> HomologyRep:
         tuple(tuple(row) for row in _twist_matrix(dim, i))
         for i in range(1, strands)
     )
-    form = tuple(tuple(row) for row in intersection_form(dim // 2))
-    rep = HomologyRep(strands, gens, form)
+    # The inverse twist v -> v + omega(v, C_i) C_i, in closed form.
+    invs = tuple(
+        tuple(tuple(row) for row in _twist_matrix(dim, i, -1))
+        for i in range(1, strands)
+    )
+    form = tuple(tuple(int(x) for x in row) for row in intersection_form(dim // 2))
+    rep = HomologyRep(strands, gens, form, invs)
     omega = linalg.frac_matrix(form)
-    for g in gens:
+    for g, g_inv in zip(gens, invs):
         gm = linalg.frac_matrix(g)
         if linalg.mat_mul(linalg.mat_mul(linalg.transpose(gm), omega), gm) != omega:
             raise AssertionError("generator image is not symplectic")
+        if _int_inverse(g) != linalg.frac_matrix(g_inv):
+            raise AssertionError("inverse twist is not the inverse of the generator image")
     return rep
 
 
@@ -130,7 +137,7 @@ def burau_matrix(b: BraidWord) -> tuple[tuple[int, ...], ...]:
     for letter in b.letters:
         img = rep.image(letter)
         out = [
-            [sum(out[i][k] * int(img[k][j]) for k in range(dim)) for j in range(dim)]
+            [sum(out[i][k] * img[k][j] for k in range(dim)) for j in range(dim)]
             for i in range(dim)
         ]
     return tuple(tuple(row) for row in out)
@@ -231,7 +238,7 @@ def lift(b: BraidWord) -> SymplecticLift:
         segments.append(seg)
         img = rep.image(letter)
         prefix = [
-            [sum(prefix[i][k] * int(img[k][j]) for k in range(dim)) for j in range(dim)]
+            [sum(prefix[i][k] * img[k][j] for k in range(dim)) for j in range(dim)]
             for i in range(dim)
         ]
     if not segments:
@@ -313,14 +320,18 @@ def standardize_form(rep: HomologyRep) -> tuple[Matrix, HomologyRep]:
     if std != expected:
         raise AssertionError("symplectic Gram-Schmidt failed")
     t_inv = linalg.inverse(t)
-    new_gens = []
-    for g in rep.generator_images:
-        gm = linalg.frac_matrix(g)
-        conj = linalg.mat_mul(linalg.mat_mul(t_inv, gm), t)
-        new_gens.append(tuple(tuple(x for x in row) for row in conj))
+
+    def conjugated(images):
+        out = []
+        for g in images:
+            conj = linalg.mat_mul(linalg.mat_mul(t_inv, linalg.frac_matrix(g)), t)
+            out.append(tuple(tuple(row) for row in conj))
+        return tuple(out)
+
     new_rep = HomologyRep(
         rep.strands,
-        tuple(new_gens),
+        conjugated(rep.generator_images),
         tuple(tuple(row) for row in expected),
+        conjugated(rep.inverse_images),
     )
     return t, new_rep

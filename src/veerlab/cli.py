@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from veerlab import farey, linkinv, sweeps, symplectic, torus
 from veerlab.braid import BraidWord, linking_number, parse_braid
@@ -175,20 +176,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_word_command(name, func, help_text, word2=False):
+    def add_word_command(name, help_text, word2=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("-n", "--strands", type=int, default=3)
         p.add_argument("word", help="whitespace-separated signed generator indices")
         if word2:
             p.add_argument("word2", help="second braid word")
         p.add_argument("--json", action="store_true", help="JSON output (default)")
-        p.set_defaults(func=func)
         return p
 
-    add_word_command("invariants", cmd_invariants, "full invariant report")
-    add_word_command("signature", cmd_signature, "closure signature, both engines")
-    add_word_command("maslov", cmd_maslov, "Maslov index of the lifted graph path")
-    add_word_command("meyer", cmd_meyer, "Meyer cocycle of two words", word2=True)
+    add_word_command("invariants", "full invariant report")
+    add_word_command("signature", "closure signature, both engines")
+    add_word_command("maslov", "Maslov index of the lifted graph path")
+    add_word_command("meyer", "Meyer cocycle of two words", word2=True)
 
     p = sub.add_parser("farey-path", help="turn word of the Farey geodesic")
     p.add_argument("-n", "--strands", type=int, default=3)
@@ -196,24 +196,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", help="SL(2,Z) matrix as 'a b; c d'")
     p.add_argument("--edges", action="store_true", help="emit the crossed edges")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_farey_path)
 
-    add_word_command("qp-cert", cmd_qp_cert, "quasipositivity verdict and certificate")
+    add_word_command("qp-cert", "quasipositivity verdict and certificate")
 
     p = sub.add_parser("sweep", help="run a randomized property suite")
     p.add_argument("--suite", required=True, choices=sorted(sweeps.SUITES))
     p.add_argument("--count", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_sweep)
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = _parser().parse_args(argv)
+        # Looked up per call: the parser is built once, but the handler is
+        # whatever cmd_<command> the module holds now.
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

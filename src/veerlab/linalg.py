@@ -7,7 +7,10 @@ and eliminations clear denominators (a row, or a column of a right
 factor, is scaled by the lcm of its denominators) and work on Python
 ints: integer dot products for mat_mul and mat_vec, Bareiss elimination
 for det, and fraction-free Gauss-Jordan with gcd-reduced rows for rank,
-solve, inverse and nullspace.  No floating point is used anywhere.
+solve, inverse and nullspace.  `particular_solution` is the one integer-in,
+integer-out entry: it exposes that elimination to callers whose data are
+integral, so they never build a Fraction.  No floating point is used
+anywhere.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ __all__ = [
     "solve",
     "inverse",
     "nullspace",
+    "particular_solution",
     "is_symmetric",
     "is_skew",
 ]
@@ -196,6 +200,24 @@ def nullspace(m: Matrix) -> list[list[Fraction]]:
             v[pc] = Fraction(-row[fc], row[pc])
         basis.append(v)
     return basis
+
+
+def particular_solution(a, b) -> tuple[list[int], int] | None:
+    """One solution of a x = b for an integer matrix a and integer vector b.
+
+    Returns (x, den) with a (x / den) = b, den > 0 and the free variables
+    zero, or None when the system is inconsistent.  One fraction-free
+    Gauss-Jordan of [a | b]; no Fraction is made.
+    """
+    cols = len(a[0]) if a else 0
+    rows, pivots = _echelon([list(row) + [bi] for row, bi in zip(a, b)])
+    if pivots and pivots[-1] == cols:
+        return None
+    den = lcm(*(row[c] for row, c in zip(rows, pivots)))
+    x = [0] * cols
+    for row, c in zip(rows, pivots):
+        x[c] = row[cols] * (den // row[c])
+    return x, den
 
 
 def is_symmetric(m: Matrix) -> bool:

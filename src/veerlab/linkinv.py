@@ -4,11 +4,16 @@ The oracle builds the Seifert matrix of the canonical Seifert surface of
 the closed braid (one disk per strand, one band per letter; H_1 basis from
 consecutive same-column band pairs) and takes the signature of V + V^T.
 The second engine never sees the diagram: it factors the braid into
-letters, maps them by Burau at -1, and accumulates Meyer cocycle values
-(the closed form in the 2n-dimensional homology space), using that each
-letter closes to an unknot of signature zero.  The Maslov index of the
-lifted path, for sign = -lk + 2 mu, is counted by crossings in the same
-2n-dimensional space; the doubled-space chart engine cross-checks it.
+letters, maps them by Burau at -1, and accumulates Meyer cocycle values,
+using that each letter closes to an unknot of signature zero.  Each term
+pairs one letter, a rank-one twist, with the integer image of the rest of
+the word, so it is one sign read off one integer solve (`meyer_letter`);
+`invariants` and `signature` use it.  Turaev's closed form
+(`symplectic.meyer_closed_form`) serves general pairs (`meyer`,
+`verify_eq_signature`) and, in the meyer-cocycle sweep, cross-checks the
+rank-one term.  The Maslov index of the lifted path, for sign = -lk +
+2 mu, is counted by crossings in the same 2n-dimensional space; the
+doubled-space chart engine cross-checks it.
 
 Sign conventions are calibrated so the positive Hopf link (closure of
 sigma_1^2) has signature -1 and the right trefoil -2; the dual-engine
@@ -33,6 +38,7 @@ __all__ = [
     "seifert_matrix",
     "seifert_signature",
     "meyer_signature",
+    "meyer_letter",
     "maslov_of_word",
     "maslov_by_charts",
     "verify_sign_maslov",
@@ -97,21 +103,67 @@ def meyer_signature(b: BraidWord) -> int:
 
     Each letter is a (conjugate of a) half-twist or its inverse with
     closure signature zero, so iterating the signature cocycle identity
-    leaves -sum_i Meyer(g_i, g_{i+1} ... g_k) over the letter images.
+    leaves -sum_i Meyer(g_i, g_{i+1} ... g_k) over the letter images
+    (the last term, Meyer(g_k, I), is 0).  Each term is `meyer_letter` on
+    the integer suffix image, which a letter updates by one row operation;
+    no Fraction matrix is built.
     """
     b = burau._odd_word(b)
-    space = burau.symplectic_space(b.strands)
-    rep = burau.homology_rep(b.strands)
-    letters = b.letters
-    if len(letters) < 2:
-        return 0
-    images = [linalg.frac_matrix(rep.image(letter)) for letter in letters]
-    suffix = images[-1]
+    form = burau.homology_rep(b.strands).form
+    dim = b.strands - 1
+    suffix = [[int(i == j) for j in range(dim)] for i in range(dim)]
     total = 0
-    for i in range(len(letters) - 2, -1, -1):
-        total += symplectic.meyer_closed_form(space, images[i], suffix)
-        suffix = linalg.mat_mul(images[i], suffix)
+    for letter in reversed(b.letters):
+        total += meyer_letter(form, letter, suffix)
+        _twist_rows(form, letter, suffix)
     return -total
+
+
+def meyer_letter(form, letter: int, suffix) -> int:
+    """Meyer(A, B) for a letter image A = T_C^s and an integer image B.
+
+    A is the twist v -> v - s omega(v, C) C about C = C_{|letter|}, s the
+    letter's sign; B = `suffix` is symplectic, and `form` is the integer
+    intersection form.  Then
+
+        Meyer(A, B) = sign(s - omega(a, C)) if (B - I) a = C is solvable,
+                      0 otherwise.
+
+    Derivation from the closed form (`symplectic.meyer_closed_form`): the
+    cocycle is the signature of Q(y, y') = -omega(x + y, (B - I) y') on
+    W = ker[A^-1 - I | B - I].  Here A^-1 - I = s C omega(., C) has rank
+    one, so on W (B - I) y = lambda(y) C and omega(x, C) = -s lambda(y).
+    With mu = omega(., C), Q(y, y') = s lambda lambda' - (lambda' mu(y) +
+    lambda mu(y'))/2, and x enters only through lambda.  If C is not in
+    im(B - I), then lambda = 0 on W and Q = 0.  Otherwise y runs over
+    ker(B - I) + span(a) with (B - I) a = C.  Since B is symplectic,
+    im(B - I) = ker(B - I)^omega, so mu vanishes on ker(B - I), which lies
+    in the radical of Q; this is also why omega(a, C) does not depend on
+    the choice of a.  What remains is Q(a, a) = s - omega(a, C).
+
+    One fraction-free elimination of [B - I | C] (`linalg.particular_solution`)
+    gives a = x / den, so the sign is that of s den - sum_j x_j omega(C_j, C).
+    """
+    s = 1 if letter > 0 else -1
+    c = abs(letter) - 1
+    target = [int(i == c) for i in range(len(suffix))]
+    solution = linalg.particular_solution(_minus_identity(suffix), target)
+    if solution is None:
+        return 0
+    x, den = solution
+    d = s * den - sum(xj * row[c] for xj, row in zip(x, form))
+    return (d > 0) - (d < 0)
+
+
+def _twist_rows(form, letter: int, m: list[list[int]]) -> None:
+    """Replace m by T_C^s m in place: only row c changes, by -s omega(C_j, C) row j."""
+    s = 1 if letter > 0 else -1
+    c = abs(letter) - 1
+    row = m[c]
+    for j, f in enumerate(form):
+        if f[c]:
+            row = [x - s * f[c] * y for x, y in zip(row, m[j])]
+    m[c] = row
 
 
 def maslov_of_word(b: BraidWord) -> Fraction:

@@ -137,7 +137,7 @@ def suite_cochain(count: int, seed: int) -> dict:
 
 
 def suite_signatures(count: int, seed: int) -> dict:
-    """Seifert oracle equals the Meyer-cocycle engine (closed form) on
+    """Seifert oracle equals the Meyer-cocycle engine (rank-one terms) on
     random closures."""
     rng = random.Random(seed)
     failures = []
@@ -183,16 +183,27 @@ def suite_eq_signature(count: int, seed: int) -> dict:
 
 def suite_meyer_cocycle(count: int, seed: int) -> dict:
     """Meyer(g1,g2) + Meyer(g1g2,g3) = Meyer(g2,g3) + Meyer(g1,g2g3) by the
-    closed form, which must equal the ternary-index form on each pair."""
+    closed form, which must equal the ternary-index form on each pair.  The
+    rank-one term must equal the closed form on (first letter, rest) of the
+    first word."""
     rng = random.Random(seed)
     failures = []
     for i in range(count):
         strands = 3 if i % 2 == 0 else 5
         space = burau.symplectic_space(strands)
-        gs = [
-            linalg.frac_matrix(burau.burau_matrix(random_word(rng, strands, 8)))
-            for _ in range(3)
-        ]
+        words = [random_word(rng, strands, 8) for _ in range(3)]
+        gs = [linalg.frac_matrix(burau.burau_matrix(w)) for w in words]
+        if words[0].letters:
+            letter, rest = words[0].letters[0], words[0].letters[1:]
+            rep = burau.homology_rep(strands)
+            suffix = burau.burau_matrix(BraidWord(strands, rest))
+            rank_one = linkinv.meyer_letter(rep.form, letter, suffix)
+            closed_one = symplectic.meyer_closed_form(
+                space, linalg.frac_matrix(rep.image(letter)), linalg.frac_matrix(suffix)
+            )
+            if rank_one != closed_one:
+                failures.append({"strands": strands, "letter": letter,
+                                 "rank_one": rank_one, "closed_form": closed_one})
         g12 = linalg.mat_mul(gs[0], gs[1])
         g23 = linalg.mat_mul(gs[1], gs[2])
         pairs = [(gs[0], gs[1]), (g12, gs[2]), (gs[1], gs[2]), (gs[0], g23)]

@@ -19,9 +19,10 @@ cycle of L0 (singular A is fine); only transversality to L0' is required.
 Its two termination bounds (subdivision depth, the search for a transverse
 complement) raise BoundExceeded, naming the bound.
 
-The Meyer cocycle has a closed form in V (`meyer_closed_form`, the default
-engine) and the ternary index of graphs in the doubled space V x V
-(`meyer`, the cross-check).
+The Meyer cocycle has a closed form in V (`meyer_closed_form`, the engine
+for general pairs; braid closures use its rank-one specialization,
+`linkinv.meyer_letter`) and the ternary index of graphs in the doubled
+space V x V (`meyer`, the cross-check).
 """
 
 from __future__ import annotations

@@ -204,3 +204,12 @@ def test_invariant_checks_survive_optimized_mode():
 def test_symplectic_space_built_once():
     assert burau.symplectic_space(5) is burau.symplectic_space(5)
     assert burau.symplectic_space(5).doubled() is burau.symplectic_space(5).doubled()
+
+
+def test_inverse_images_are_stored_and_integral():
+    for n in (3, 5, 7, 9):
+        rep = burau.homology_rep(n)
+        for i in range(1, n):
+            assert rep.image(-i) == burau._int_inverse(rep.image(i))
+            assert all(type(x) is int for row in rep.image(-i) for x in row)
+        assert all(type(x) is int for row in rep.form for x in row)

@@ -162,3 +162,22 @@ def test_invariants_stays_in_the_2n_space(capsys, monkeypatch):
     assert code == 0 and all(report["identity_checks"].values())
     code, report, _ = run(capsys, ["invariants", "-n", "3", W25])
     assert code == 0 and report["maslov"] == {"mu": "1", "two_mu": 2}
+
+
+def test_meyer_cocycle_sweep_reports_a_rank_one_mismatch(capsys, monkeypatch):
+    from veerlab import linkinv
+
+    real = linkinv.meyer_letter
+    monkeypatch.setattr(linkinv, "meyer_letter", lambda *args: real(*args) + 2)
+    code, report, _ = run(capsys, ["sweep", "--suite", "meyer-cocycle", "--count", "4"])
+    assert code == 2 and report["failures"] > 0
+    example = report["failed_examples"][0]
+    assert example["letter"] != 0
+    assert example["rank_one"] == example["closed_form"] + 2
+
+
+def test_parser_is_built_once(capsys):
+    assert run(capsys, ["maslov", "-n", "3", "1"])[0] == 0
+    parser = cli._parser()
+    assert run(capsys, ["signature", "-n", "3", "1 1"])[0] == 0
+    assert cli._parser() is parser

@@ -214,3 +214,62 @@ def test_crossing_check_detects_a_flipped_segment(monkeypatch):
         monkeypatch.setattr(linkinv, "_segment_term", real_term)
         assert linkinv.maslov_of_word(w) == mu
     assert misses > 0
+
+
+def _letter_pairs():
+    """Seeded (strands, letter, suffix word) pairs in B_3-B_9, suffix length
+    0-14, plus every letter of B_3 and B_5 against the identity suffix."""
+    rng = random.Random(60)
+    pairs = []
+    for _ in range(320):
+        n = rng.choice([3, 5, 7, 9])
+        letter = rng.choice([k for k in range(-(n - 1), n) if k])
+        pairs.append((n, letter, random_word(rng, n, 14)))
+    pairs += [(n, k, BraidWord.identity(n)) for n in (3, 5) for k in range(-(n - 1), n) if k]
+    return pairs
+
+
+def test_rank_one_term_matches_the_closed_form():
+    from veerlab import burau, linalg, symplectic
+
+    values = []
+    inconsistent = 0
+    for n, letter, w in _letter_pairs():
+        rep = burau.homology_rep(n)
+        suffix = burau.burau_matrix(w)
+        term = linkinv.meyer_letter(rep.form, letter, suffix)
+        closed = symplectic.meyer_closed_form(
+            burau.symplectic_space(n),
+            linalg.frac_matrix(rep.image(letter)),
+            linalg.frac_matrix(suffix),
+        )
+        assert term == closed, (n, letter, w)
+        values.append(term)
+        b_minus = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(suffix)]
+        target = [int(i == abs(letter) - 1) for i in range(n - 1)]
+        inconsistent += linalg.particular_solution(b_minus, target) is None
+    assert len(values) >= 300
+    assert {-1, 0, 1} <= set(values)
+    assert inconsistent > 0
+
+
+def test_meyer_signature_needs_no_fraction_matrices(monkeypatch):
+    from veerlab import burau, linalg, symplectic
+
+    words = _crossing_words()
+    seifert = [linkinv.seifert_signature(w) for w in words]
+    for n in (3, 5, 7, 9):
+        burau.homology_rep(n)  # validated once, before the raisers go in
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Fraction matrix path entered")
+
+    monkeypatch.setattr(symplectic, "meyer_closed_form", forbidden)
+    monkeypatch.setattr(linalg, "inverse", forbidden)
+    monkeypatch.setattr(linalg, "mat_mul", forbidden)
+    monkeypatch.setattr(symplectic.SymplecticSpace, "is_symplectic_matrix", forbidden)
+    assert linkinv.meyer_signature(parse_braid("1 1", 3)) == -1
+    assert linkinv.meyer_signature(parse_braid("1 1 1", 2)) == -2
+    assert linkinv.meyer_signature(parse_braid("1 2 1 2 1 2", 3)) == -4
+    for w, s in zip(words, seifert):
+        assert linkinv.meyer_signature(w) == s, w
