@@ -60,9 +60,12 @@ class BraidWord:
 def parse_braid(text: str, strands: int) -> BraidWord:
     """Parse whitespace-separated signed generator indices.
 
-    Whitespace-only text is the identity braid.  Raises ValueError naming
-    the offending token on 0, non-integer tokens, or out-of-range indices.
+    Whitespace-only text is the identity braid.  Raises ValueError on a
+    strand count below 2, checked before any token, and otherwise names the
+    offending token on 0, non-integer tokens, or out-of-range indices.
     """
+    if strands < 2:
+        raise ValueError(f"strands must be >= 2, got {strands}")
     letters = []
     for token in text.split():
         try:

@@ -221,7 +221,8 @@ def particular_solution(a, b) -> tuple[list[int], int] | None:
 
 
 def is_symmetric(m: Matrix) -> bool:
-    return all(m[i][j] == m[j][i] for i in range(len(m)) for j in range(len(m)))
+    """m equals its transpose: row i read as a tuple equals column i."""
+    return all(tuple(row) == col for row, col in zip(m, zip(*m)))
 
 
 def is_skew(m: Matrix) -> bool:

@@ -23,6 +23,7 @@ equality on random words is the standing cross-check.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from veerlab import burau, linalg, symplectic
 from veerlab.braid import BraidWord, linking_number
@@ -89,13 +90,13 @@ def seifert_matrix(b: BraidWord) -> list[list[int]]:
 
 
 def seifert_signature(b: BraidWord) -> int:
-    """Signature of the symmetrized Seifert pairing of the closure."""
+    """Signature of the symmetrized Seifert pairing of the closure.
+
+    V + V^T is integral, so it goes to `symplectic.signature` as ints; no
+    Fraction is made.
+    """
     v = seifert_matrix(b)
-    sym = [
-        [Fraction(v[i][j] + v[j][i]) for j in range(len(v))]
-        for i in range(len(v))
-    ]
-    return symplectic.signature(sym)
+    return symplectic.signature([[x + y for x, y in zip(row, col)] for row, col in zip(v, zip(*v))])
 
 
 def meyer_signature(b: BraidWord) -> int:
@@ -188,7 +189,8 @@ def maslov_of_word(b: BraidWord) -> Fraction:
         s [(r_g - r(0))/2 + (r_g - r(1))/2 + (1 if 0 < t* < 1)],
 
     with r(t) = rank(Psi(t) - I) and r_g its generic value.  r(1) is the
-    next segment's r(0), so each prefix rank is computed once.  A rank
+    next segment's r(0), so each prefix rank is computed once.  The terms
+    are summed doubled, as ints, and halved once at the end.  A rank
     drop other than 0 or 1 contradicts the sketch: AssertionError.  The
     chart engine on the doubled space (`maslov_by_charts`) is the
     independent cross-check.
@@ -197,7 +199,7 @@ def maslov_of_word(b: BraidWord) -> Fraction:
     form = burau.homology_rep(b.strands).form
     dim = b.strands - 1
     prefix = [[int(i == j) for j in range(dim)] for i in range(dim)]
-    segments = []  # (s, r(0), r_g, t*) per letter
+    segments = []  # (s, r(0), r_g, whether 0 < t* < 1) per letter
     for letter in b.letters:
         s = 1 if letter > 0 else -1
         c = abs(letter) - 1
@@ -207,50 +209,57 @@ def maslov_of_word(b: BraidWord) -> Fraction:
         prefix = [[p + xi * yj for p, yj in zip(row, y)] for row, xi in zip(prefix, x)]
     # r(1) of a segment is r(0) of the next; the last one's is rank(g - I).
     ends = [seg[1] for seg in segments[1:]] + [linalg.rank(_minus_identity(prefix))]
-    return sum((_segment_term(*seg, r1) for seg, r1 in zip(segments, ends)), Fraction(0))
+    two_mu = sum(_segment_term(*seg, r1) for seg, r1 in zip(segments, ends))
+    return Fraction(two_mu, 2)
 
 
 def _minus_identity(m: list[list[int]]) -> list[list[int]]:
     return [[p - (i == j) for j, p in enumerate(row)] for i, row in enumerate(m)]
 
 
-def _pencil(a, x, y) -> tuple[int, int, Fraction | None]:
-    """(rank A, generic rank of A + t x y^T, the t* where it drops, or None).
+def _pencil(a, x, y) -> tuple[int, int, bool]:
+    """(rank A, generic rank of A + t x y^T, whether it drops at a 0 < t* < 1).
 
     With x = A a and y^T = z^T A, A + t x y^T = (I + t x z^T) A loses rank
     exactly where 1 + t y^T a = 0, and by 1 (x != 0 lies in col A); if
     only one of x in col A, y in row A holds the rank is rank A for all t;
-    if neither, rank A + 1 for t != 0.  One nullspace of [A | x] gives
-    rank A, a particular a, and ker A = (row A)^perp.
+    if neither, rank A + 1 for t != 0.  Since row A = (ker A)^perp, y in
+    row A means y^T k = 0 for every k in ker A.
+
+    All of it comes from one fraction-free elimination of the integer
+    matrix [A | x] (`linalg._echelon`): its pivots in the first dim columns
+    give rank A, a pivot in column dim means x is not in col A, and each
+    free column f of A gives the kernel vector k with k_f = den and k_p =
+    -den row[f] / row[p] for the pivot row of column p, den being the lcm
+    of the pivots (k is integral).  The particular solution with free
+    variables zero is a_p = row[dim] / row[p], so y^T a = q / den with q =
+    sum_p y_p row[dim] (den / row[p]).  The drop point is t* = -1 / (y^T a)
+    = -den / q, and as den > 0, 0 < t* < 1 exactly when q < -den.
     """
     dim = len(a)
-    null = linalg.nullspace([row + [xi] for row, xi in zip(a, x)])
-    part = next((v for v in null if v[dim]), None)
-    if part is None:
-        kernel = [v[:dim] for v in null]
-    else:
-        kernel = [
-            [vi - v[dim] / part[dim] * pi for vi, pi in zip(v[:dim], part[:dim])]
-            for v in null
-            if v is not part
-        ]
-    r0 = dim - len(kernel)
-    y_in = all(sum(yi * ki for yi, ki in zip(y, k)) == 0 for k in kernel)
-    if part is None:
-        return r0, r0 if y_in else r0 + 1, None
+    rows, pivots = linalg._echelon([row + [xi] for row, xi in zip(a, x)])
+    basis = [(row, p) for row, p in zip(rows, pivots) if p < dim]
+    x_in = len(basis) == len(pivots)
+    r0 = len(basis)
+    den = lcm(*(row[p] for row, p in basis))
+    free = set(range(dim)).difference(pivots)
+    y_in = all(
+        y[f] * den == sum(y[p] * row[f] * (den // row[p]) for row, p in basis) for f in free
+    )
+    if not x_in:
+        return r0, r0 if y_in else r0 + 1, False
     if not y_in:
-        return r0, r0, None
-    q = -sum(yi * pi for yi, pi in zip(y, part[:dim])) / part[dim]  # y^T a
-    return r0, r0, (-1 / q if q else None)
+        return r0, r0, False
+    q = sum(y[p] * row[dim] * (den // row[p]) for row, p in basis)  # y^T a = q / den
+    return r0, r0, q < -den
 
 
-def _segment_term(s: int, r0: int, r_g: int, t_star: Fraction | None, r1: int) -> Fraction:
-    """s [(r_g - r(0))/2 + (r_g - r(1))/2 + (1 if 0 < t* < 1)]."""
+def _segment_term(s: int, r0: int, r_g: int, inner: bool, r1: int) -> int:
+    """Twice a segment's term: s [(r_g - r(0)) + (r_g - r(1)) + (2 if 0 < t* < 1)]."""
     drops = (r_g - r0, r_g - r1)
     if any(d not in (0, 1) for d in drops):
         raise AssertionError(f"rank drop {drops} on a lift segment; a rank-one pencil allows 0 or 1")
-    inner = 1 if t_star is not None and 0 < t_star < 1 else 0
-    return s * (Fraction(r_g - r0 + r_g - r1, 2) + inner)
+    return s * (r_g - r0 + r_g - r1 + (2 if inner else 0))
 
 
 def maslov_by_charts(b: BraidWord) -> Fraction:

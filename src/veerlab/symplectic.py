@@ -174,54 +174,81 @@ def symmetric_form(rows) -> Matrix:
 def signature(m: Matrix) -> int:
     """Signature of a symmetric rational matrix, exactly.
 
-    Symmetric elimination on the integer matrix lcm(denominators) * m: a
-    nonzero diagonal pivot contributes its sign; when the active diagonal
-    is all zero, a nonzero off-diagonal entry spans a hyperbolic pair
-    contributing zero.  Singular matrices are fine (the radical contributes
-    nothing).  The Schur complement is scaled by |d| at a pivot d and by c^2
-    at a pair entry c; both are positive congruences, so the signature is
-    unchanged.  As in Bareiss elimination, the previous scale then divides
-    every entry exactly, which keeps the entries minors of the matrix.
+    Symmetric elimination on the integer matrix lcm(denominators) * m (an
+    int matrix is taken as it is): a nonzero diagonal pivot contributes its
+    sign; when the active diagonal is all zero, a nonzero off-diagonal entry
+    spans a hyperbolic pair contributing zero.  Singular matrices are fine
+    (the radical contributes nothing).  The Schur complement is scaled by
+    |d| at a pivot d and by c^2 at a pair entry c; both are positive
+    congruences, so the signature is unchanged.  As in Bareiss elimination,
+    the previous scale then divides every entry exactly, which keeps the
+    entries minors of the matrix; the new scale is |d|, or c^2 / prev at a
+    pair.
+
+    Rows are brought up to scale lazily.  A row that does not meet the pivot
+    (a_ip = 0, or zero against both rows of a pair) is only multiplied by
+    new scale / old scale, and along a run of such pivots the factors
+    telescope: its true entries are its stored entries times scale_now /
+    scale_then, scale_then being the scale the row was last written at.  So
+    a step rewrites only the rows that meet the pivot, after one exact
+    division brings each up to date.  A stale row differs from the true one
+    by a positive factor, so it has the true zero pattern and signs, which is
+    all the pivot search reads.  Rows keep their full width; the columns of
+    eliminated pivots are zero in every active row.  A Seifert form has a
+    few nonzeros per row, so few rows meet each pivot.
     """
     if not linalg.is_symmetric(m):
         raise ValueError("matrix is not symmetric")
-    scale = lcm(*[x.denominator for row in m for x in row])
-    a = [[x.numerator * (scale // x.denominator) for x in row] for row in m]
+    den = lcm(*[x.denominator for row in m for x in row])
+    rows = [[x.numerator * (den // x.denominator) for x in row] for row in m]
+    written = [1] * len(rows)  # the scale each row was last written at
+    active = list(range(len(rows)))
     prev = 1
     sig = 0
-    while a:
-        k = len(a)
-        piv = next((i for i in range(k) if a[i][i]), None)
+
+    def current(i: int) -> list[int]:
+        if written[i] != prev:
+            rows[i] = [x * prev // written[i] for x in rows[i]]
+            written[i] = prev
+        return rows[i]
+
+    while active:
+        piv = next((i for i in active if rows[i][i]), None)
         if piv is not None:
-            d = a[piv][piv]
+            active.remove(piv)
+            prow = current(piv)
+            d = prow[piv]
             s = 1 if d > 0 else -1
             sig += s
-            rest = [i for i in range(k) if i != piv]
-            prow = a[piv]
-            a = [
-                [(abs(d) * a[i][j] - s * a[i][piv] * prow[j]) // prev for j in rest]
-                for i in rest
-            ]
-            prev = abs(d)
+            scale = s * d
+            for i in active:
+                f = s * prow[i]
+                if f:
+                    rows[i] = [(scale * x - f * y) // prev for x, y in zip(current(i), prow)]
+                    written[i] = scale
+            prev = scale
             continue
         pair = next(
-            ((i, j) for i, j in itertools.combinations(range(k), 2) if a[i][j]), None
+            ((i, j) for i, j in itertools.combinations(active, 2) if rows[i][j]), None
         )
         if pair is None:
             break
         i0, j0 = pair
-        c = a[i0][j0]
-        rest = [i for i in range(k) if i != i0 and i != j0]
-        r0, r1 = a[i0], a[j0]
-        a = [
-            [
-                (c * c * a[i][j] - c * (a[i][i0] * r1[j] + a[i][j0] * r0[j]))
-                // (prev * prev)
-                for j in rest
-            ]
-            for i in rest
-        ]
-        prev = c * c // prev
+        active.remove(i0)
+        active.remove(j0)
+        r0, r1 = current(i0), current(j0)
+        c = r0[j0]
+        cc, pp = c * c, prev * prev
+        scale = cc // prev
+        for i in active:
+            f0, f1 = c * r0[i], c * r1[i]
+            if f0 or f1:
+                rows[i] = [
+                    (cc * x - f0 * y1 - f1 * y0) // pp
+                    for x, y0, y1 in zip(current(i), r0, r1)
+                ]
+                written[i] = scale
+        prev = scale
     return sig
 
 

@@ -38,6 +38,16 @@ def test_invariants_parse_error(capsys):
     assert "0" in err
 
 
+def test_strand_count_is_checked_before_the_tokens(capsys):
+    for strands in ("0", "-3", "1"):
+        code, payload, err = run(capsys, ["invariants", "-n", strands, "1"])
+        assert code == 1 and payload is None
+        assert f"strands must be >= 2, got {strands}" in err
+        assert "token" not in err
+    code, payload, err = run(capsys, ["farey-path", "-n", "0", ""])
+    assert code == 1 and "strands must be >= 2, got 0" in err
+
+
 def test_signature_command(capsys):
     code, report, _ = run(capsys, ["signature", "-n", "3", "1 1 1"])
     assert code == 0

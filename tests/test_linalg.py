@@ -284,3 +284,72 @@ def test_signature_negative_pivots():
     assert sp.signature(m) == ref_signature(m) == -3
     m = linalg.frac_matrix([[Fraction(-1, 2), 1], [1, Fraction(1, 3)]])
     assert sp.signature(m) == ref_signature(m) == 0
+
+
+# --- lazy row scales: sparse, banded, stale rows, plain ints ------------------
+
+
+def sparse_symmetric(rng, n, band=None):
+    """An integer symmetric matrix: entries within `band` of the diagonal
+    (some zero), or about three nonzeros per row anywhere."""
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            near = band is not None and j - i <= band
+            if near or (band is None and rng.random() < 3 / n):
+                m[i][j] = m[j][i] = rng.randint(-3, 3)
+    return m
+
+
+def test_signature_sparse_and_banded_up_to_40():
+    rng = random.Random(11)
+    for k in range(80):
+        n = rng.randint(10, 40)
+        m = sparse_symmetric(rng, n, band=(None, 1, 2, 3)[k % 4])
+        want = ref_signature(linalg.frac_matrix(m))
+        assert sp.signature(m) == want
+        assert sp.signature(linalg.frac_matrix(m)) == want
+
+
+def test_signature_pair_branch_on_stale_rows():
+    """A block with nonzero diagonal comes first and moves the scale off 1;
+    a zero-diagonal block follows, its rows untouched (block diagonal) or
+    only some of them touched (sparse coupling), so the pair branch
+    starts on rows last written at an older scale."""
+    rng = random.Random(12)
+    for k in range(200):
+        a, b = rng.randint(1, 5), rng.randint(2, 8)
+        n = a + b
+        m = [[0] * n for _ in range(n)]
+        for i in range(a):
+            m[i][i] = rng.choice([-5, -3, -2, 2, 3, 4, 6])
+            for j in range(i + 1, a):
+                m[i][j] = m[j][i] = rng.randint(-4, 4)
+        for i in range(a, n):
+            for j in range(i + 1, n):
+                m[i][j] = m[j][i] = rng.randint(-3, 3) * (rng.random() < 0.6)
+        if k % 2:
+            for i in range(a):
+                for j in range(a, n):
+                    if rng.random() < 0.15:
+                        m[i][j] = m[j][i] = rng.randint(-2, 2)
+        assert sp.signature(m) == ref_signature(linalg.frac_matrix(m))
+    # The first block leaves the scale at its determinant, 5; the
+    # zero-diagonal block is still at scale 1 when the pair branch reads it.
+    m = [[2, 1, 0, 0, 0], [1, 3, 0, 0, 0], [0, 0, 0, 5, 1], [0, 0, 5, 0, 2], [0, 0, 1, 2, 0]]
+    assert sp.signature(m) == ref_signature(linalg.frac_matrix(m)) == 1
+
+
+def test_signature_plain_int_input():
+    rng = random.Random(13)
+    for k in range(300):
+        n = rng.randint(0, 9)
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = rng.randint(-6, 6) * rng.randint(0, k % 2 + 1)
+        want = ref_signature(linalg.frac_matrix(m))
+        assert sp.signature(m) == want
+        assert sp.signature(linalg.frac_matrix(m)) == want
+    with pytest.raises(ValueError, match="not symmetric"):
+        sp.signature([[0, 1], [2, 0]])

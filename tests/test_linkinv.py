@@ -273,3 +273,80 @@ def test_meyer_signature_needs_no_fraction_matrices(monkeypatch):
     assert linkinv.meyer_signature(parse_braid("1 2 1 2 1 2", 3)) == -4
     for w, s in zip(words, seifert):
         assert linkinv.meyer_signature(w) == s, w
+
+
+def test_seifert_signature_matches_the_reference_elimination():
+    from test_linalg import ref_signature
+
+    rng = random.Random(62)
+    sizes = set()
+    for k in range(240):
+        w = random_word(rng, 2 + k % 8, 60)
+        v = linkinv.seifert_matrix(w)
+        sym = [[Fraction(x + y) for x, y in zip(row, col)] for row, col in zip(v, zip(*v))]
+        assert linkinv.seifert_signature(w) == ref_signature(sym), w
+        sizes.add(len(v))
+    assert max(sizes) >= 40
+
+
+def ref_pencil(a, x, y):
+    """The rational reading of `_pencil`: (rank A, generic rank, t* or None),
+    from a Fraction nullspace of [A | x]."""
+    from veerlab import linalg
+
+    dim = len(a)
+    null = linalg.nullspace([list(row) + [xi] for row, xi in zip(a, x)])
+    part = next((v for v in null if v[dim]), None)
+    if part is None:
+        kernel = [v[:dim] for v in null]
+    else:
+        kernel = [
+            [vi - v[dim] / part[dim] * pi for vi, pi in zip(v[:dim], part[:dim])]
+            for v in null
+            if v is not part
+        ]
+    r0 = dim - len(kernel)
+    y_in = all(sum(yi * ki for yi, ki in zip(y, k)) == 0 for k in kernel)
+    if part is None:
+        return r0, r0 if y_in else r0 + 1, None
+    if not y_in:
+        return r0, r0, None
+    q = -sum(yi * pi for yi, pi in zip(y, part[:dim])) / part[dim]  # y^T a
+    return r0, r0, (-1 / q if q else None)
+
+
+def test_integer_pencil_matches_the_rational_reading():
+    # One dimension: a + t x y drops at t* = -a / (x y).  t* = 1 lies on
+    # the boundary, which the segment ends count, not the interior.
+    for a, x, y, inner in [(1, 1, -1, False), (1, 1, -2, True), (2, 1, -1, False),
+                           (1, 1, 1, False), (-2, 1, 4, True), (-2, -1, -4, True),
+                           (3, 1, -3, False), (3, 2, -3, True), (0, 1, 1, False)]:
+        assert linkinv._pencil([[a]], [x], [y])[2] is inner, (a, x, y)
+    rng = random.Random(63)
+    boundary = interior = 0
+    for k in range(600):
+        dim = rng.randint(1, 5)
+        a = [[rng.randint(-2, 2) * (rng.random() < 0.6) for _ in range(dim)] for _ in range(dim)]
+        if k % 3 == 0:  # rank deficient
+            a[rng.randrange(dim)] = [0] * dim
+        x = [rng.randint(-2, 2) for _ in range(dim)]
+        y = [rng.randint(-2, 2) for _ in range(dim)]
+        r0, r_g, t_star = ref_pencil(a, x, y)
+        assert linkinv._pencil(a, x, y) == (r0, r_g, t_star is not None and 0 < t_star < 1)
+        boundary += t_star == 1
+        interior += t_star is not None and 0 < t_star < 1
+    assert boundary > 0 and interior > 0
+
+
+def test_crossing_count_needs_no_nullspace(monkeypatch):
+    from veerlab import linalg
+
+    words = _crossing_words()
+    charts = [linkinv.maslov_by_charts(w) for w in words]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Fraction nullspace entered")
+
+    monkeypatch.setattr(linalg, "nullspace", forbidden)
+    for w, mu in zip(words, charts):
+        assert linkinv.maslov_of_word(w) == mu, w
