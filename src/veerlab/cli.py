@@ -163,7 +163,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     seed = args.seed
     env_seed = os.environ.get("VEERLAB_SEED")
     if env_seed is not None:
-        seed = int(env_seed)
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            raise _UsageError(f"VEERLAB_SEED must be an integer, got {env_seed!r}") from None
     result = sweeps.run_suite(args.suite, args.count, seed)
     _emit(result)
     return EXIT_OK if result["failures"] == 0 else EXIT_INVARIANT

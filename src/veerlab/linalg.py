@@ -110,14 +110,17 @@ def vstack(a: Matrix, b: Matrix) -> Matrix:
     return [list(r) for r in a] + [list(r) for r in b]
 
 
-def _echelon(m: Matrix) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan on a copy; returns (rows, pivot columns).
+def _echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan of an integer matrix; returns (rows, pivot
+    columns).
 
-    Rows are integer and gcd-reduced.  Row r < len(pivots) divided by its
-    entry in column pivots[r] is row r of the reduced row echelon form; the
-    remaining rows are zero.
+    m is not modified (returned rows the elimination never touched may be
+    m's own row lists).  Rows the elimination rewrites are gcd-reduced.
+    Row r < len(pivots) divided by its entry in column pivots[r] is row r
+    of the reduced row echelon form; the remaining rows are zero.  Callers
+    with Fraction rows clear them first (`_cleared`).
     """
-    rows = [_cleared(row)[0] for row in m]
+    rows = list(m)
     nrows = len(rows)
     cols = len(rows[0]) if nrows else 0
     pivots = []
@@ -143,7 +146,7 @@ def _echelon(m: Matrix) -> tuple[list[list[int]], list[int]]:
 
 
 def rank(m: Matrix) -> int:
-    return len(_echelon(m)[1])
+    return len(_echelon([_cleared(row)[0] for row in m])[1])
 
 
 def det(m: Matrix) -> Fraction:
@@ -176,7 +179,7 @@ def det(m: Matrix) -> Fraction:
 def solve(a: Matrix, b: Matrix) -> Matrix:
     """Solve a X = b for square invertible a (b may have many columns)."""
     n = len(a)
-    rows, pivots = _echelon(hstack(a, b))
+    rows, pivots = _echelon([_cleared(ra + rb)[0] for ra, rb in zip(a, b)])
     if len(pivots) < n or pivots[-1] >= n:
         raise ValueError("matrix is singular")
     return [[Fraction(x, row[c]) for x in row[n:]] for row, c in zip(rows, pivots)]
@@ -190,7 +193,7 @@ def nullspace(m: Matrix) -> list[list[Fraction]]:
     """Basis of the right kernel."""
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    ech, pivots = _echelon(m)
+    ech, pivots = _echelon([_cleared(row)[0] for row in m])
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for fc in free:

@@ -9,6 +9,7 @@ zero on a parameter interval.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 __all__ = [
     "poly",
@@ -22,6 +23,7 @@ __all__ = [
     "pmul",
     "pscale",
     "peval",
+    "peval_homogeneous",
     "pderiv",
     "pdivmod",
     "pcompose_affine",
@@ -34,7 +36,7 @@ Poly = tuple[Fraction, ...]
 
 
 def poly(coeffs) -> Poly:
-    c = tuple(Fraction(x) for x in coeffs)
+    c = tuple(x if type(x) is Fraction else Fraction(x) for x in coeffs)
     while c and c[-1] == 0:
         c = c[:-1]
     return c
@@ -88,10 +90,34 @@ def pscale(p: Poly, s) -> Poly:
 
 
 def peval(p: Poly, x) -> Fraction:
-    x = Fraction(x)
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
+    """p(x), exactly, making at most one Fraction.
+
+    p(0) is the constant coefficient and p(1) the sum of the coefficients.
+    Elsewhere the coefficients are cleared to integers c_k / s and, with
+    x = u / v, p(x) = peval_homogeneous(c, u, v) / (s v^d).
+    """
+    if not p:
+        return Fraction(0)
+    if x == 0:
+        return p[0]
+    scale = lcm(*[c.denominator for c in p])
+    ints = [c.numerator * (scale // c.denominator) for c in p]
+    if x == 1:
+        return Fraction(sum(ints), scale)
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    u, v = x.numerator, x.denominator
+    return Fraction(peval_homogeneous(ints, u, v), scale * v ** (len(ints) - 1))
+
+
+def peval_homogeneous(c: list[int], u: int, v: int) -> int:
+    """v^d c(u / v) = sum_k c_k u^k v^(d-k) for integer coefficients c
+    (low degree first, d = len(c) - 1): Horner on integers."""
+    acc = 0
+    vpow = 1  # v^(d-k) at coefficient k
+    for ck in reversed(c):
+        acc = acc * u + ck * vpow
+        vpow *= v
     return acc
 
 

@@ -19,6 +19,32 @@ cycle of L0 (singular A is fine); only transversality to L0' is required.
 Its two termination bounds (subdivision depth, the search for a transverse
 complement) raise BoundExceeded, naming the bound.
 
+Charts are read from omega-pairings, with no linear solve.  Let L0 = span U,
+L0' = span W, G = U^T Omega W, and V = W G^-1, so that U^T Omega V = I and
+W^T Omega V = 0 (W is Lagrangian).  Write a frame of the path as
+F = U X + V Y.  Then
+
+    P := U^T Omega F = Y,    Q := W^T Omega F = -G^T X,
+
+so X = -G^-T Q and the chart matrix is A = Y X^-1 = -P Q^-1 G^T.  F is
+transverse to W exactly when det Q != 0, because det[F | W] = +-det[U | W]
+det X; the two determinants of a segment differ by a nonzero constant
+factor, so their Sturm certificates agree.  Every complement in the pool
+has G = I (the dual complement, its shears U C + V and the bespoke ones;
+checked as each enters the pool), and then X^T A X = X^T Y = -Q^T P: the
+signature of A at a piece end is sig(-Q^T P), a congruence, and A is
+symmetric exactly when Q^T P is.  Per segment and chart, P(t) and Q(t) are
+n x n polynomial matrices, each a constant n x dim matrix times the
+segment, built once; the certificate runs on the n x n det Q(t).  Both are
+kept as integer polynomial matrices: clearing the segment's columns
+multiplies column j of P and of Q by the same positive factor, a
+congruence of Q^T P by a positive diagonal matrix, which moves neither
+its signature nor its symmetry nor the zeros of det Q.
+
+Validation computes on the form cleared to integers, K = L Omega: a frame
+B is isotropic when B^T K B = 0 (on B cleared to integers), and a matrix
+g = H / M with H integral is symplectic when H^T K H = M^2 K.
+
 The Meyer cocycle has a closed form in V (`meyer_closed_form`, the engine
 for general pairs; braid closures use its rank-one specialization,
 `linkinv.meyer_letter`) and the ternary index of graphs in the doubled
@@ -32,7 +58,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import factorial, gcd, lcm
+from operator import mul
 
 from veerlab import linalg, poly
 from veerlab.linalg import Matrix
@@ -127,9 +154,29 @@ class SymplecticSpace:
                 form[d + i][d + j] = -self.form[i][j]
         return SymplecticSpace(tuple(tuple(row) for row in form))
 
+    @cached_property
+    def _int_form(self) -> tuple[int, list[list[int]], list[list[tuple[int, int]]]]:
+        """(L, K, nonzeros): K = L * form as ints with L > 0, and nonzeros[r]
+        the pairs (s, K[r][s]) with K[r][s] != 0."""
+        k, scale = _cleared(self.form)
+        return scale, k, [[(s, f) for s, f in enumerate(row) if f] for row in k]
+
+    def _gram(self, b) -> list[list[int]]:
+        """B^T K B for an integer matrix B with dim rows: L omega(b_i, b_j)."""
+        cols = list(zip(*b))
+        nonzeros = self._int_form[2]
+        k_cols = [[sum(f * col[s] for s, f in nz) for nz in nonzeros] for col in cols]
+        return [[sum(map(mul, ci, kj)) for kj in k_cols] for ci in cols]
+
     def is_symplectic_matrix(self, g: Matrix) -> bool:
-        omega = self.form_matrix()
-        return linalg.mat_mul(linalg.mat_mul(linalg.transpose(g), omega), g) == omega
+        """g^T Omega g == Omega, on integers: with g = H / M cleared,
+        H^T K H == M^2 K."""
+        d = self.dim
+        if len(g) != d or any(len(row) != d for row in g):
+            return False
+        h, m = _cleared(g)
+        mm = m * m
+        return self._gram(h) == [[mm * x for x in row] for row in self._int_form[1]]
 
 
 @dataclass(frozen=True)
@@ -140,16 +187,16 @@ class LagrangianFrame:
     basis: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in self.basis)
+        rows = tuple(
+            tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in self.basis
+        )
         object.__setattr__(self, "basis", rows)
         b = self.basis_matrix()
         if len(b) != self.space.dim or len(b[0]) != self.space.n:
             raise ValueError("frame must be dim x n")
         if linalg.rank(b) != self.space.n:
             raise ValueError("frame columns are dependent")
-        omega = self.space.form_matrix()
-        prod = linalg.mat_mul(linalg.mat_mul(linalg.transpose(b), omega), b)
-        if any(any(x != 0 for x in row) for row in prod):
+        if any(any(row) for row in self.space._gram(_cleared(b)[0])):
             raise ValueError("frame is not isotropic")
 
     def basis_matrix(self) -> Matrix:
@@ -158,6 +205,12 @@ class LagrangianFrame:
     def same_subspace(self, other: "LagrangianFrame") -> bool:
         stacked = linalg.hstack(self.basis_matrix(), other.basis_matrix())
         return linalg.rank(stacked) == self.space.n
+
+
+def _cleared(m) -> tuple[list[list[int]], int]:
+    """(M, s) with m == M / s: M an int matrix, s > 0 one scale for all entries."""
+    s = lcm(*[x.denominator for row in m for x in row])
+    return [[x.numerator * (s // x.denominator) for x in row] for row in m], s
 
 
 def frame(space: SymplecticSpace, basis: Matrix) -> LagrangianFrame:
@@ -199,8 +252,7 @@ def signature(m: Matrix) -> int:
     """
     if not linalg.is_symmetric(m):
         raise ValueError("matrix is not symmetric")
-    den = lcm(*[x.denominator for row in m for x in row])
-    rows = [[x.numerator * (den // x.denominator) for x in row] for row in m]
+    rows = _cleared(m)[0]
     written = [1] * len(rows)  # the scale each row was last written at
     active = list(range(len(rows)))
     prev = 1
@@ -255,29 +307,44 @@ def signature(m: Matrix) -> int:
 def lagrangian_complement(lam: LagrangianFrame) -> LagrangianFrame:
     """A Lagrangian complement V of lam with omega(u_i, v_j) = delta_ij.
 
-    Complete the frame to a basis with unit vectors, dualize against the
-    frame, then kill the skew defect: if M = V0^T Omega V0, the correction
-    V = V0 + U (M/2) is isotropic and keeps the duality pairing.
+    The pairing R = U^T Omega (n x dim) has rank n and kernel lam itself, so
+    unit vectors e_k complete the frame to a basis exactly when their
+    columns of R are independent; the first such are the pivot columns K
+    of R.  One fraction-free Gauss-Jordan of [R | I] gives the solution V0
+    of R V0 = I that vanishes off the rows K: V0 = E_K (R E_K)^-1, the dual
+    of the unit-vector completion.  Then kill the skew defect: if
+    M = V0^T Omega V0, the correction V = V0 + U (M/2) is isotropic and
+    keeps the duality pairing.
     """
     space = lam.space
-    u = lam.basis_matrix()
-    n = space.n
-    cols = [[row[j] for row in u] for j in range(n)]
-    chosen: list[list[Fraction]] = []
-    for k in range(space.dim):
-        e = [Fraction(int(i == k)) for i in range(space.dim)]
-        test = cols + chosen + [e]
-        if linalg.rank([list(r) for r in zip(*test)]) == len(test):
-            chosen.append(e)
-        if len(chosen) == n:
-            break
-    w = [list(r) for r in zip(*chosen)]
-    omega = space.form_matrix()
-    d = linalg.mat_mul(linalg.mat_mul(linalg.transpose(u), omega), w)
-    v0 = linalg.mat_mul(w, linalg.inverse(d))
-    m = linalg.mat_mul(linalg.mat_mul(linalg.transpose(v0), omega), v0)
-    v = linalg.mat_add(v0, linalg.mat_mul(u, linalg.mat_scale(m, Fraction(1, 2))))
-    return frame(space, v)
+    n, dim = space.n, space.dim
+    r, den = _pairing(lam)
+    rows, pivots = linalg._echelon(
+        [row + [den * (i == j) for j in range(n)] for i, row in enumerate(r)]
+    )
+    if pivots[-1] >= dim:
+        raise AssertionError("pairing of a Lagrangian frame has rank < n")
+    v0 = linalg.zeros(dim, n)
+    for row, p in zip(rows, pivots):
+        v0[p] = [Fraction(x, row[p]) for x in row[dim:]]
+    v0i, v0s = _cleared(v0)
+    half = 2 * space._int_form[0] * v0s * v0s
+    m = [[Fraction(x, half) for x in row] for row in space._gram(v0i)]
+    return frame(space, linalg.mat_add(v0, linalg.mat_mul(lam.basis_matrix(), m)))
+
+
+def _int_mul(a, b) -> list[list[int]]:
+    """The product of two integer matrices."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def _pairing(lam: LagrangianFrame) -> tuple[list[list[int]], int]:
+    """(R, s) with B^T Omega = R / s for the basis B of lam: row i of R / s
+    is the functional omega(b_i, .)."""
+    scale, k, _ = lam.space._int_form
+    bi, s = _cleared(lam.basis_matrix())
+    return _int_mul(zip(*bi), k), scale * s
 
 
 def chart_coordinates(
@@ -285,28 +352,30 @@ def chart_coordinates(
 ) -> Matrix:
     """The symmetric A with lam = {y = A x} in (lam0, lam0p) coordinates.
 
-    x runs along lam0 and y along lam0p, with the lam0p basis replaced by
-    its omega-dual so that the graph matrix of a Lagrangian is symmetric.
-    Raises ChartMissError when lam is not transverse to lam0p.
+    x runs along lam0 = span U and y along lam0p = span W, with W replaced
+    by its omega-dual V = W G^-1, G = U^T Omega W, so that the graph matrix
+    of a Lagrangian is symmetric.  Writing the basis of lam as F = U X + V Y,
+    the pairings P = U^T Omega F and Q = W^T Omega F give Y = P and
+    X = -G^-T Q, so A = Y X^-1 = -P Q^-1 G^T.  Raises ValueError when G is
+    singular (lam0p is not a complement of lam0) and ChartMissError when Q
+    is, i.e. when lam is not transverse to lam0p.
     """
-    space = lam.space
-    u = lam0.basis_matrix()
-    w = lam0p.basis_matrix()
-    omega = space.form_matrix()
-    g = linalg.mat_mul(linalg.mat_mul(linalg.transpose(u), omega), w)
-    try:
-        v = linalg.mat_mul(w, linalg.inverse(g))
-    except ValueError:
+    def pairing(frame_: LagrangianFrame) -> Matrix:
+        rows, den = _pairing(frame_)
+        return [[Fraction(x, den) for x in row] for row in rows]
+
+    u_rows = pairing(lam0)
+    g = linalg.mat_mul(u_rows, lam0p.basis_matrix())
+    if linalg.det(g) == 0:
         raise ValueError("lam0 and lam0p are not complementary Lagrangians")
-    coords = linalg.solve(linalg.hstack(u, v), lam.basis_matrix())
-    n = space.n
-    x = coords[:n]
-    y = coords[n:]
+    f = lam.basis_matrix()
+    p = linalg.mat_mul(u_rows, f)
+    q = linalg.mat_mul(pairing(lam0p), f)
     try:
-        x_inv = linalg.inverse(x)
+        z = linalg.solve(linalg.transpose(q), linalg.transpose(p))  # Q^-T P^T
     except ValueError:
         raise ChartMissError("Lagrangian meets the chart complement") from None
-    a = linalg.mat_mul(y, x_inv)
+    a = linalg.mat_scale(linalg.transpose(linalg.mat_mul(g, z)), -1)
     if not linalg.is_symmetric(a):
         raise AssertionError("chart matrix is not symmetric")
     return a
@@ -315,6 +384,7 @@ def chart_coordinates(
 # --- polynomial frames and paths -------------------------------------------
 
 PolyMatrix = list[list[Poly]]
+IntPolyMatrix = list[list[list[int]]]  # integer coefficient lists, low degree first
 
 
 def constant_poly_matrix(m: Matrix) -> PolyMatrix:
@@ -325,52 +395,87 @@ def pm_eval(pm: PolyMatrix, t) -> Matrix:
     return [[poly.peval(entry, t) for entry in row] for row in pm]
 
 
-def pm_hstack(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    return [ra + rb for ra, rb in zip(a, b)]
+def _int_columns(pm: PolyMatrix) -> list[tuple[list[list[int]], int]]:
+    """Each column of a polynomial matrix cleared to one scale: (rows, s)
+    with entry r equal to rows[r] / s as a coefficient list, every row
+    padded with zeros to the column's longest one."""
+    cols = []
+    for col in zip(*pm):
+        ints, scale = _cleared(col)
+        width = max(map(len, ints), default=0)
+        cols.append(([e + [0] * (width - len(e)) for e in ints], scale))
+    return cols
+
+
+def _pm_left_mul(r: list[list[int]], pm: PolyMatrix) -> IntPolyMatrix:
+    """R pm for an integer k x dim matrix R and a dim x n polynomial matrix,
+    up to a positive factor per column: column j of pm is cleared to
+    integers with one scale s_j, and column j of the result is s_j R pm_j.
+    Every entry of column j is a coefficient list of pm_j's width."""
+    cols = [list(zip(*ints)) for ints, _ in _int_columns(pm)]
+    return [[[sum(map(mul, row, ck)) for ck in coeffs] for coeffs in cols] for row in r]
+
+
+def _ipm_eval(m: IntPolyMatrix, t: Fraction) -> list[list[int]]:
+    """m(t) times v^(w_j - 1) on column j, for t = u / v and w_j the width
+    of column j: an integer matrix, a positive column scaling of m(t)."""
+    u, v = t.numerator, t.denominator
+    return [[poly.peval_homogeneous(c, u, v) for c in row] for row in m]
 
 
 def _pm_isotropic(seg: PolyMatrix, space: SymplecticSpace) -> bool:
-    """Exact check that seg(t)^T Omega seg(t) is the zero matrix of polys."""
-    omega = space.form_matrix()
-    dim, cols = len(seg), len(seg[0])
-    for i in range(cols):
-        for j in range(i, cols):
-            total = poly.pzero()
-            for r in range(dim):
-                for s in range(dim):
-                    if omega[r][s]:
-                        total = poly.padd(
-                            total,
-                            poly.pscale(poly.pmul(seg[r][i], seg[s][j]), omega[r][s]),
-                        )
-            if not poly.is_zero(total):
+    """Exact check that seg(t)^T Omega seg(t) is the zero matrix of polys.
+
+    On integers: the columns f_i of seg are cleared to one scale each and
+    the form to K = L Omega, positive factors that keep zero at zero.  The
+    diagonal f_i^T Omega f_i vanishes identically (Omega is skew), so the
+    pairs i < j are checked, coefficient by coefficient.
+    """
+    nonzeros = space._int_form[2]
+    cols = [ints for ints, _ in _int_columns(seg)]
+    for j, fj in enumerate(cols):
+        width = len(fj[0])
+        kf = [[sum(f * fj[s][c] for s, f in nz) for c in range(width)] for nz in nonzeros]
+        for fi in cols[:j]:
+            total = [0] * (len(fi[0]) + width)
+            for p, q in zip(fi, kf):
+                for a, x in enumerate(p):
+                    if x:
+                        for b, y in enumerate(q):
+                            total[a + b] += x * y
+            if any(total):
                 return False
     return True
 
 
-def _det_poly(pm: PolyMatrix) -> Poly:
-    """Determinant of a square polynomial matrix, by interpolation."""
+def _det_poly(m: IntPolyMatrix) -> Poly:
+    """A positive multiple of the determinant of a square integer polynomial
+    matrix, with integer coefficients.
+
+    The determinant has degree at most D, the sum of the column degrees.
+    Its values at t = 0, ..., D are Bareiss determinants, and Newton's
+    forward differences Delta^k give D! det = sum_k Delta^k (D! / k!)
+    t (t - 1) ... (t - k + 1), all in integers; the content is divided out.
+    """
     bound = sum(
-        max((poly.degree(pm[i][j]) for i in range(len(pm))), default=0)
-        for j in range(len(pm))
+        max((k for row in m for k, x in enumerate(row[j]) if x), default=0)
+        for j in range(len(m))
     )
-    bound = max(bound, 0)
-    points = [Fraction(k) for k in range(bound + 1)]
-    values = [linalg.det(pm_eval(pm, t)) for t in points]
-    return _interpolate(points, values)
-
-
-def _interpolate(points: list[Fraction], values: list[Fraction]) -> Poly:
-    total = poly.pzero()
-    for i, (xi, yi) in enumerate(zip(points, values)):
-        if yi == 0:
-            continue
-        term = poly.pconst(yi)
-        for j, xj in enumerate(points):
-            if j != i:
-                term = poly.pscale(poly.pmul(term, poly.poly([-xj, 1])), Fraction(1, xi - xj))
-        total = poly.padd(total, term)
-    return total
+    diffs = [linalg.det(_ipm_eval(m, Fraction(t))).numerator for t in range(bound + 1)]
+    coeffs = [0] * (bound + 1)
+    falling = [1]  # t (t - 1) ... (t - k + 1), low degree first
+    ratio = factorial(bound)  # D! / k!
+    for k in range(bound + 1):
+        if diffs[0]:
+            for i, c in enumerate(falling):
+                coeffs[i] += diffs[0] * ratio * c
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        falling = [0] + falling
+        for i in range(len(falling) - 1):
+            falling[i] -= k * falling[i + 1]
+        ratio //= k + 1
+    content = gcd(*coeffs)
+    return poly.poly([c // content for c in coeffs] if content > 1 else coeffs)
 
 
 @dataclass(frozen=True)
@@ -410,6 +515,8 @@ class LagrangianPath:
         return LagrangianPath(self.space, tuple(segs))
 
     def concat(self, other: "LagrangianPath") -> "LagrangianPath":
+        if other.space != self.space:
+            raise ValueError("paths live in different spaces")
         return LagrangianPath(self.space, self.segments + other.segments)
 
 
@@ -474,6 +581,21 @@ def _random_symmetrics(n: int, rng: random.Random, tries: int = _COMPLEMENT_TRIE
         yield m
 
 
+def _chart(u: tuple[list[list[int]], int], complement: LagrangianFrame) -> list[list[int]]:
+    """W^T Omega, up to a positive factor, for a pool complement W of
+    lam0 = span U (u is the pairing U^T Omega as `_pairing` gives it).
+
+    Every pool complement is omega-dual to U by construction (G = U^T Omega W
+    = I), which the chart signatures rely on; it is checked here, as each
+    complement enters the pool.
+    """
+    (r, den), (wi, ws) = u, _cleared(complement.basis_matrix())
+    unit = den * ws
+    if _int_mul(r, wi) != [[unit * (i == j) for j in range(len(r))] for i in range(len(r))]:
+        raise AssertionError("pool complement is not omega-dual to the reference")
+    return _pairing(complement)[0]
+
+
 def maslov_index(path: LagrangianPath, lam0: LagrangianFrame) -> Fraction:
     """Robbin-Salamon Maslov index of the path relative to lam0.
 
@@ -482,30 +604,38 @@ def maslov_index(path: LagrangianPath, lam0: LagrangianFrame) -> Fraction:
     """
     if path.space != lam0.space:
         raise ValueError("path and reference live in different spaces")
-    pool = _complement_pool(lam0)
+    u = _pairing(lam0)
+    pool = [_chart(u, c) for c in _complement_pool(lam0)]
     rng = random.Random(20570)
-    total = Fraction(0)
+    twice = 0
     for seg in path.segment_matrices():
-        total += _segment_index(seg, lam0, pool, rng)
-    return total
+        twice += _segment_index(seg, lam0, u, pool, rng)
+    return Fraction(twice, 2)
 
 
 def _segment_index(
     seg: PolyMatrix,
     lam0: LagrangianFrame,
-    pool: list[LagrangianFrame],
+    u: tuple[list[list[int]], int],
+    pool: list[list[list[int]]],
     rng: random.Random,
-) -> Fraction:
-    dets: dict[int, Poly] = {}
+) -> int:
+    """Twice the Maslov index of one segment F: a sum over chart pieces
+    [a, b] of sig(-Q^T P)(b) - sig(-Q^T P)(a), where P = U^T Omega F and
+    Q = W^T Omega F are built once per chart as n x n integer polynomial
+    matrices (up to the same positive factor per column), and the chart is
+    certified by Sturm root counting on det Q."""
+    space = lam0.space
+    charts: dict[int, tuple[IntPolyMatrix, Poly]] = {}  # pool index -> (Q, det Q)
 
-    def det_against(idx: int) -> Poly:
-        if idx not in dets:
-            dets[idx] = _det_poly(
-                pm_hstack(seg, constant_poly_matrix(pool[idx].basis_matrix()))
-            )
-        return dets[idx]
+    def chart(idx: int) -> tuple[IntPolyMatrix, Poly]:
+        if idx not in charts:
+            q = _pm_left_mul(pool[idx], seg)
+            charts[idx] = (q, _det_poly(q))
+        return charts[idx]
 
-    total = Fraction(0)
+    p = None
+    total = 0
     stack = [(Fraction(0), Fraction(1), 0)]
     while stack:
         a, b, depth = stack.pop()
@@ -513,21 +643,41 @@ def _segment_index(
             raise BoundExceeded(f"chart subdivision depth exceeded {_MAX_DEPTH}")
         found = None
         for idx in range(len(pool)):
-            d = det_against(idx)
+            q, d = chart(idx)
             if poly.is_zero(d) or poly.has_root_in_closed(d, a, b):
                 continue
-            found = pool[idx]
+            found = q
             break
         if found is not None:
-            a_end = chart_coordinates(frame(lam0.space, pm_eval(seg, b)), lam0, found)
-            a_start = chart_coordinates(frame(lam0.space, pm_eval(seg, a)), lam0, found)
-            total += Fraction(signature(a_end) - signature(a_start), 2)
+            if p is None:
+                p = _pm_left_mul(u[0], seg)
+            total += _chart_signature(space, seg, found, p, b)
+            total -= _chart_signature(space, seg, found, p, a)
             continue
         mid = (a + b) / 2
-        pool.append(_bespoke_complement(lam0, pm_eval(seg, mid), rng))
+        pool.append(_chart(u, _bespoke_complement(lam0, pm_eval(seg, mid), rng)))
         stack.append((mid, b, depth + 1))
         stack.append((a, mid, depth + 1))
     return total
+
+
+def _chart_signature(
+    space: SymplecticSpace, seg: PolyMatrix, q: IntPolyMatrix, p: IntPolyMatrix, t: Fraction
+) -> int:
+    """sig A(t) of the chart matrix A = -P Q^-1 at t, as sig(-Q^T P)(t).
+
+    With G = I, X = -Q is invertible on the chart piece and X^T A X = -Q^T P,
+    a congruence.  q and p, evaluated on integers, are P(t) and Q(t) up to
+    positive scalars and the same positive factor per column, so q^T p is
+    Q^T P up to a congruence by a positive diagonal matrix: the same
+    signature, and symmetric exactly when Q^T P is.  The frame seg(t) is
+    built and validated as well.
+    """
+    frame(space, pm_eval(seg, t))
+    qtp = _int_mul(zip(*_ipm_eval(q, t)), _ipm_eval(p, t))
+    if not linalg.is_symmetric(qtp):
+        raise AssertionError("chart matrix is not symmetric")
+    return -signature(qtp)
 
 
 # --- ternary index and the Meyer cocycle ------------------------------------

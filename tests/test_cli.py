@@ -108,6 +108,14 @@ def test_sweep_env_seed(capsys, monkeypatch):
     assert report["seed"] == 12345
 
 
+def test_sweep_non_integer_env_seed_exits_one(capsys, monkeypatch):
+    monkeypatch.setenv("VEERLAB_SEED", "abc")
+    code, payload, err = run(capsys, ["sweep", "--suite", "rademacher", "--count", "5"])
+    assert code == 1 and payload is None
+    assert "VEERLAB_SEED must be an integer, got 'abc'" in err
+    assert "invalid literal" not in err
+
+
 def test_sweep_negative_count_exits_one(capsys):
     code, payload, err = run(capsys, ["sweep", "--suite", "theorem-lk", "--count", "-3"])
     assert code == 1 and payload is None

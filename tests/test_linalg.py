@@ -353,3 +353,37 @@ def test_signature_plain_int_input():
         assert sp.signature(linalg.frac_matrix(m)) == want
     with pytest.raises(ValueError, match="not symmetric"):
         sp.signature([[0, 1], [2, 0]])
+
+
+def test_integer_callers_pass_rows_straight_to_the_elimination(monkeypatch):
+    # _echelon takes integer rows; rank, solve and nullspace clear Fraction
+    # rows first, while particular_solution and the crossing-count pencil
+    # hand over their ints without a clearing pass.
+    from veerlab import linkinv
+
+    rng = random.Random(63)
+    systems, pencils = [], []
+    for _ in range(60):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        a = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+        systems.append((a, [rng.randint(-3, 3) for _ in range(rows)]))
+        dim = rng.randint(1, 5)
+        pencils.append((
+            [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)],
+            [rng.randint(-2, 2) for _ in range(dim)],
+            [rng.randint(-2, 2) for _ in range(dim)],
+        ))
+    expected = [linalg.particular_solution(a, b) for a, b in systems]
+    drops = [linkinv._pencil(*p) for p in pencils]
+    for (a, b), sol in zip(systems, expected):
+        assert linalg.rank(linalg.frac_matrix(a)) == len(ref_echelon(linalg.frac_matrix(a))[1])
+        if sol is not None:
+            x, den = sol
+            assert [sum(r * xi for r, xi in zip(row, x)) for row in a] == [den * bi for bi in b]
+
+    def forbidden(row):
+        raise AssertionError("integer rows sent through _cleared")
+
+    monkeypatch.setattr(linalg, "_cleared", forbidden)
+    assert [linalg.particular_solution(a, b) for a, b in systems] == expected
+    assert [linkinv._pencil(*p) for p in pencils] == drops

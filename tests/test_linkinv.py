@@ -350,3 +350,36 @@ def test_crossing_count_needs_no_nullspace(monkeypatch):
     monkeypatch.setattr(linalg, "nullspace", forbidden)
     for w, mu in zip(words, charts):
         assert linkinv.maslov_of_word(w) == mu, w
+
+
+def test_maslov_needs_no_chart_coordinates_solve_or_inverse(monkeypatch):
+    from veerlab import burau, linalg
+    from veerlab import symplectic as sp
+    from veerlab.sweeps import _line_segment, _random_transverse_triple
+
+    # The chart engine reads its charts from omega-pairings: with the
+    # solve-based chart and every Fraction solve or inverse gone, the
+    # graph paths of the crossing words and one ternary-lemma triple
+    # still give their Maslov indices.
+    cases = []
+    for w in _crossing_words():
+        b = burau._odd_word(w)
+        space = burau.symplectic_space(b.strands)
+        gid = sp.graph_lagrangian(space, linalg.identity(b.strands - 1))
+        cases.append((burau.graph_path_of(b), gid, linkinv.maslov_of_word(w)))
+    space, l1, l2, l3, u1, u2, a = _random_transverse_triple(2, random.Random(62))
+    g13 = sp.LagrangianPath(space, (_line_segment(u1, linalg.mat_mul(u2, a)),))
+    g23 = sp.LagrangianPath(space, (_line_segment(u2, linalg.mat_mul(u1, linalg.inverse(a))),))
+    g12, g31 = g13.concat(g23.reversed()), g13.reversed()
+    lemma = sp.ternary_index(l1, l2, l3)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solve-based chart entered")
+
+    monkeypatch.setattr(sp, "chart_coordinates", forbidden)
+    monkeypatch.setattr(linalg, "solve", forbidden)
+    monkeypatch.setattr(linalg, "inverse", forbidden)
+    for path, gid, mu in cases:
+        assert sp.maslov_index(path, gid) == mu
+    total = sp.maslov_index(g12, l1) + sp.maslov_index(g23, l2) + sp.maslov_index(g31, l3)
+    assert 2 * total == lemma

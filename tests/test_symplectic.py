@@ -339,3 +339,202 @@ def test_bespoke_complement_bound():
     # A degenerate target is transverse to no complement.
     with pytest.raises(sp.BoundExceeded, match="transverse complement"):
         sp._bespoke_complement(lam0, linalg.zeros(2, 1), random.Random(0))
+
+
+def ref_chart_coordinates(lam, lam0, lam0p):
+    """The solve-based chart: coordinates of lam's basis in [U | W G^-1]."""
+    u = lam0.basis_matrix()
+    w = lam0p.basis_matrix()
+    omega = lam.space.form_matrix()
+    g = linalg.mat_mul(linalg.mat_mul(linalg.transpose(u), omega), w)
+    try:
+        v = linalg.mat_mul(w, linalg.inverse(g))
+    except ValueError:
+        raise ValueError("lam0 and lam0p are not complementary Lagrangians")
+    coords = linalg.solve(linalg.hstack(u, v), lam.basis_matrix())
+    n = lam.space.n
+    try:
+        x_inv = linalg.inverse(coords[:n])
+    except ValueError:
+        raise sp.ChartMissError("Lagrangian meets the chart complement") from None
+    return linalg.mat_mul(coords[n:], x_inv)
+
+
+def _rational_lagrangian(rng, n, kind):
+    """A Lagrangian of the standard space with a rational basis: psi maps a
+    coordinate Lagrangian (x_i for i not in S, y_i for i in S), and a random
+    rational change of basis follows."""
+    psi = _random_symplectic(n, rng)
+    flips = {i for i in range(n) if rng.random() < 0.3} if kind == "coordinate" else set()
+    std = linalg.zeros(2 * n, n)
+    for i in range(n):
+        std[n + i if i in flips else i][i] = Fraction(1)
+    change = [[x / k for x in row] for row, k in zip(rand_invertible(rng, n), (2, 1, 3))]
+    return sp.frame(sp.SymplecticSpace.standard(n), linalg.mat_mul(linalg.mat_mul(psi, std), change))
+
+
+def test_chart_coordinates_matches_the_solve_reference():
+    # Complements with G != I, lams that miss the chart, and pairs that are
+    # not complementary: the pairing formula -P Q^-1 G^T agrees with the
+    # solve-based body, and ChartMissError comes exactly when det Q = 0.
+    rng = random.Random(60)
+    kinds = {"value": 0, "miss": 0, "not complementary": 0}
+    shapes = set()
+    for trial in range(360):
+        n = 1 + trial % 3
+        space = sp.SymplecticSpace.standard(n)
+        lam0 = _rational_lagrangian(rng, n, "random")
+        lam0p = _rational_lagrangian(rng, n, "random")
+        if trial % 3 == 0:
+            # A complement of lam0 with G != I: the dual complement, sheared
+            # and rebased.
+            dual = sp.lagrangian_complement(lam0).basis_matrix()
+            c = rand_symmetric_invertible(rng, n)
+            basis = linalg.mat_add(linalg.mat_mul(lam0.basis_matrix(), c), dual)
+            lam0p = sp.frame(space, linalg.mat_mul(basis, rand_invertible(rng, n)))
+        lam = _rational_lagrangian(rng, n, "coordinate" if trial % 2 else "random")
+        if trial % 7 == 0:
+            lam = lam0p
+        omega = space.form_matrix()
+        g = linalg.mat_mul(
+            linalg.mat_mul(linalg.transpose(lam0.basis_matrix()), omega), lam0p.basis_matrix()
+        )
+        q = linalg.mat_mul(
+            linalg.mat_mul(linalg.transpose(lam0p.basis_matrix()), omega), lam.basis_matrix()
+        )
+        try:
+            expected = ref_chart_coordinates(lam, lam0, lam0p)
+        except (ValueError, sp.ChartMissError) as exc:
+            with pytest.raises(type(exc)):
+                sp.chart_coordinates(lam, lam0, lam0p)
+            if isinstance(exc, sp.ChartMissError):
+                assert linalg.det(q) == 0
+                kinds["miss"] += 1
+            else:
+                assert linalg.det(g) == 0
+                kinds["not complementary"] += 1
+            continue
+        assert linalg.det(g) != 0 and linalg.det(q) != 0
+        assert sp.chart_coordinates(lam, lam0, lam0p) == expected
+        kinds["value"] += 1
+        shapes.add(g == linalg.identity(n))
+    assert kinds["value"] >= 200 and kinds["miss"] >= 40 and kinds["not complementary"] >= 1
+    assert False in shapes  # G != I was exercised
+
+
+def test_forged_pool_complement_is_rejected(monkeypatch):
+    # Every pool complement must be omega-dual to the reference (G = I);
+    # one scaled by 2 (G = 2I) is refused as it enters the pool.
+    space, path = make_onedehn_path()
+    gid = sp.graph_lagrangian(space, linalg.identity(2))
+    real = sp.lagrangian_complement
+
+    def doubled_complement(lam):
+        return sp.frame(lam.space, linalg.mat_scale(real(lam).basis_matrix(), 2))
+
+    monkeypatch.setattr(sp, "lagrangian_complement", doubled_complement)
+    with pytest.raises(AssertionError, match="omega-dual"):
+        sp.maslov_index(path, gid)
+
+
+def test_is_symplectic_matrix_on_the_integer_form():
+    rng = random.Random(61)
+    for trial in range(60):
+        n = 1 + trial % 3
+        space = sp.SymplecticSpace.standard(n)
+        # A rational symplectic g: conjugate by diag(D, D^-1), D rational.
+        d = [Fraction(rng.choice([1, 2, 3]), rng.choice([1, 2, 5])) for _ in range(n)]
+        scale = linalg.zeros(2 * n, 2 * n)
+        for i in range(n):
+            scale[i][i], scale[n + i][n + i] = d[i], 1 / d[i]
+        g = linalg.mat_mul(
+            linalg.mat_mul(scale, _random_symplectic(n, rng)), linalg.inverse(scale)
+        )
+        assert space.is_symplectic_matrix(g)
+        assert not space.is_symplectic_matrix(linalg.mat_scale(g, 2))
+        assert not space.is_symplectic_matrix(linalg.mat_scale(g, Fraction(1, 2)))
+        assert not space.is_symplectic_matrix([row[:-1] for row in g])
+        assert not space.is_symplectic_matrix(g[:-1])
+    # A form with denominators: omega = (1/3) dx ^ dy preserves exactly det 1.
+    third = sp.SymplecticSpace(((Fraction(0), Fraction(1, 3)), (Fraction(-1, 3), Fraction(0))))
+    assert third.is_symplectic_matrix(linalg.frac_matrix([[2, Fraction(1, 2)], [2, 1]]))
+    assert not third.is_symplectic_matrix(linalg.frac_matrix([[2, 1], [2, 1]]))
+
+
+def test_concat_across_spaces_is_refused():
+    one = sp.LagrangianPath(sp.SymplecticSpace.standard(1), ([[poly.pconst(1)], [poly.pzero()]],))
+    two = sp.LagrangianPath(
+        sp.SymplecticSpace.standard(2),
+        (sp.constant_poly_matrix(linalg.vstack(linalg.identity(2), linalg.zeros(2, 2))),),
+    )
+    with pytest.raises(ValueError, match="paths live in different spaces"):
+        one.concat(two)
+    with pytest.raises(ValueError, match="paths live in different spaces"):
+        two.concat(one)
+    assert len(one.concat(one).segments) == 2
+
+
+def ref_pm_isotropic(seg, space):
+    """F(t)^T Omega F(t) == 0 with Fraction polynomial arithmetic."""
+    omega = space.form_matrix()
+    for i in range(len(seg[0])):
+        for j in range(i, len(seg[0])):
+            total = poly.pzero()
+            for r in range(len(seg)):
+                for s in range(len(seg)):
+                    if omega[r][s]:
+                        term = poly.pmul(seg[r][i], seg[s][j])
+                        total = poly.padd(total, poly.pscale(term, omega[r][s]))
+            if not poly.is_zero(total):
+                return False
+    return True
+
+
+def test_pm_isotropic_matches_fraction_polynomials():
+    from veerlab import burau
+    from veerlab.sweeps import random_word
+
+    rng = random.Random(65)
+    cases = []
+    for trial in range(80):
+        n = 1 + trial % 3
+        space, l1, l2, l3, u1, u2, a = _random_transverse_triple(n, rng)
+        seg = _line_segment(
+            linalg.mat_scale(u1, Fraction(1, rng.randint(1, 4))), linalg.mat_mul(u2, a)
+        )
+        cases.append((space, seg))
+        # Perturb one entry by a small rational multiple of t^2.
+        bent = [list(row) for row in seg]
+        r, c = rng.randrange(2 * n), rng.randrange(n)
+        bent[r][c] = poly.padd(bent[r][c], poly.poly([0, 0, Fraction(rng.randint(1, 3), 5)]))
+        cases.append((space, bent))
+    for w in (random_word(rng, 5, 6), random_word(rng, 7, 4)):
+        path = burau.graph_path_of(burau._odd_word(w))
+        cases += [(path.space, seg) for seg in path.segment_matrices()]
+    verdicts = [sp._pm_isotropic(seg, space) for space, seg in cases]
+    assert verdicts == [ref_pm_isotropic(seg, space) for space, seg in cases]
+    assert True in verdicts and False in verdicts
+
+
+def test_det_poly_is_a_positive_multiple_of_the_determinant():
+    # The certificate polynomial of an integer polynomial matrix: at every
+    # rational t it is the determinant times one positive constant.
+    rng = random.Random(66)
+    for trial in range(120):
+        n = 1 + trial % 4
+        m = [
+            [[rng.randint(-3, 3) for _ in range(rng.randint(0, 3))] for _ in range(n)]
+            for _ in range(n)
+        ]
+        d = sp._det_poly(m)
+        ratios = set()
+        for t in (Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3), Fraction(7, 2), Fraction(5)):
+            exact = linalg.det(
+                [[poly.peval(poly.poly(c), t) for c in row] for row in m]
+            )
+            value = poly.peval(d, t)
+            assert (value == 0) == (exact == 0)
+            if exact:
+                ratios.add(value / exact)
+        assert len(ratios) <= 1 and all(r > 0 for r in ratios)
+        assert all(c.denominator == 1 for c in d)
