@@ -395,15 +395,15 @@ def pm_eval(pm: PolyMatrix, t) -> Matrix:
     return [[poly.peval(entry, t) for entry in row] for row in pm]
 
 
-def _int_columns(pm: PolyMatrix) -> list[tuple[list[list[int]], int]]:
-    """Each column of a polynomial matrix cleared to one scale: (rows, s)
-    with entry r equal to rows[r] / s as a coefficient list, every row
-    padded with zeros to the column's longest one."""
+def _int_columns(pm: PolyMatrix) -> list[list[list[int]]]:
+    """Each column of a polynomial matrix times the positive lcm of its
+    denominators, as integer coefficient lists padded with zeros to the
+    column's longest entry."""
     cols = []
     for col in zip(*pm):
-        ints, scale = _cleared(col)
+        ints = _cleared(col)[0]
         width = max(map(len, ints), default=0)
-        cols.append(([e + [0] * (width - len(e)) for e in ints], scale))
+        cols.append([e + [0] * (width - len(e)) for e in ints])
     return cols
 
 
@@ -412,11 +412,11 @@ def _pm_left_mul(r: list[list[int]], pm: PolyMatrix) -> IntPolyMatrix:
     up to a positive factor per column: column j of pm is cleared to
     integers with one scale s_j, and column j of the result is s_j R pm_j.
     Every entry of column j is a coefficient list of pm_j's width."""
-    cols = [list(zip(*ints)) for ints, _ in _int_columns(pm)]
+    cols = [list(zip(*ints)) for ints in _int_columns(pm)]
     return [[[sum(map(mul, row, ck)) for ck in coeffs] for coeffs in cols] for row in r]
 
 
-def _ipm_eval(m: IntPolyMatrix, t: Fraction) -> list[list[int]]:
+def _ipm_eval(m: IntPolyMatrix, t) -> list[list[int]]:
     """m(t) times v^(w_j - 1) on column j, for t = u / v and w_j the width
     of column j: an integer matrix, a positive column scaling of m(t)."""
     u, v = t.numerator, t.denominator
@@ -432,7 +432,7 @@ def _pm_isotropic(seg: PolyMatrix, space: SymplecticSpace) -> bool:
     pairs i < j are checked, coefficient by coefficient.
     """
     nonzeros = space._int_form[2]
-    cols = [ints for ints, _ in _int_columns(seg)]
+    cols = _int_columns(seg)
     for j, fj in enumerate(cols):
         width = len(fj[0])
         kf = [[sum(f * fj[s][c] for s, f in nz) for c in range(width)] for nz in nonzeros]
@@ -461,7 +461,7 @@ def _det_poly(m: IntPolyMatrix) -> Poly:
         max((k for row in m for k, x in enumerate(row[j]) if x), default=0)
         for j in range(len(m))
     )
-    diffs = [linalg.det(_ipm_eval(m, Fraction(t))).numerator for t in range(bound + 1)]
+    diffs = [linalg.det(_ipm_eval(m, t)).numerator for t in range(bound + 1)]
     coeffs = [0] * (bound + 1)
     falling = [1]  # t (t - 1) ... (t - k + 1), low degree first
     ratio = factorial(bound)  # D! / k!
@@ -474,8 +474,8 @@ def _det_poly(m: IntPolyMatrix) -> Poly:
         for i in range(len(falling) - 1):
             falling[i] -= k * falling[i + 1]
         ratio //= k + 1
-    content = gcd(*coeffs)
-    return poly.poly([c // content for c in coeffs] if content > 1 else coeffs)
+    content = gcd(*coeffs) or 1
+    return poly.poly([c // content for c in coeffs])
 
 
 @dataclass(frozen=True)

@@ -104,6 +104,48 @@ def test_lagrangian_complement_properties():
         assert dual == linalg.identity(n)
 
 
+def ref_lagrangian_complement(lam):
+    """Complete the frame greedily with unit vectors, dualize with a Fraction
+    inverse of the pairing, then correct the skew defect."""
+    space, u, n = lam.space, lam.basis_matrix(), lam.space.n
+    cols = [[row[j] for row in u] for j in range(n)]
+    chosen = []
+    for k in range(space.dim):
+        e = [Fraction(int(i == k)) for i in range(space.dim)]
+        if linalg.rank([list(r) for r in zip(*(cols + chosen + [e]))]) == len(cols + chosen) + 1:
+            chosen.append(e)
+        if len(chosen) == n:
+            break
+    w = [list(r) for r in zip(*chosen)]
+    omega = space.form_matrix()
+    d = linalg.mat_mul(linalg.mat_mul(linalg.transpose(u), omega), w)
+    v0 = linalg.mat_mul(w, linalg.inverse(d))
+    m = linalg.mat_mul(linalg.mat_mul(linalg.transpose(v0), omega), v0)
+    return linalg.mat_add(v0, linalg.mat_mul(u, linalg.mat_scale(m, Fraction(1, 2))))
+
+
+def test_lagrangian_complement_matches_the_reference():
+    # The pivot columns of the pairing are the greedy unit-vector completion,
+    # so the complement (and with it the chart pool) is the reference's.
+    from veerlab import burau
+    from veerlab.sweeps import random_word
+
+    rng = random.Random(67)
+    frames = []
+    for trial in range(90):
+        n = 1 + trial % 3
+        psi = _random_symplectic(n, rng)
+        basis = linalg.mat_mul(psi, linalg.vstack(linalg.identity(n), linalg.zeros(n, n)))
+        change = [[x / k for x in row] for row, k in zip(rand_invertible(rng, n), (3, 1, 2))]
+        frames.append(sp.frame(sp.SymplecticSpace.standard(n), linalg.mat_mul(basis, change)))
+    for strands in (3, 5, 7):
+        space = burau.symplectic_space(strands)
+        g = linalg.frac_matrix(burau.burau_matrix(random_word(rng, strands, 6)))
+        frames.append(sp.graph_lagrangian(space, g))
+    for lam in frames:
+        assert sp.lagrangian_complement(lam).basis_matrix() == ref_lagrangian_complement(lam)
+
+
 def make_onedehn_path():
     space = sp.SymplecticSpace(((Fraction(0), Fraction(1)), (Fraction(-1), Fraction(0))))
     seg = [
