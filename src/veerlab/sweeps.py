@@ -12,7 +12,6 @@ import random
 from fractions import Fraction
 
 from veerlab import burau, farey, linalg, linkinv, symplectic, torus
-from veerlab import _core, _pure
 from veerlab.braid import BraidWord, concat, conjugate
 from veerlab.modular import (
     PSL2Element,
@@ -73,24 +72,6 @@ def suite_rademacher(count: int, seed: int) -> dict:
         if not ok:
             failures.append(str(g.rep))
     return _result("rademacher", count, seed, failures)
-
-
-def suite_kernel_twins(count: int, seed: int) -> dict:
-    """Compiled kernels agree with the pure reference implementations."""
-    rng = random.Random(seed)
-    failures = []
-    for _ in range(count):
-        g = random_psl(rng, 50)
-        e = g.rep.entries()
-        w = random_word(rng, 3, 30)
-        ok = (
-            _core.nf_exponents(*e) == _pure.nf_exponents(*e)
-            and _core.turn_letters(*e) == _pure.turn_letters(*e)
-            and _core.word_matrix(w.letters) == _pure.word_matrix(w.letters)
-        )
-        if not ok:
-            failures.append(str(e))
-    return _result("kernel-twins", count, seed, failures)
 
 
 def suite_quasimorphism(count: int, seed: int) -> dict:
@@ -316,7 +297,6 @@ def _line_segment(base: linalg.Matrix, direction: linalg.Matrix):
 SUITES = {
     "theorem-lk": suite_theorem_lk,
     "rademacher": suite_rademacher,
-    "kernel-twins": suite_kernel_twins,
     "quasimorphism": suite_quasimorphism,
     "dehn-deltas": suite_dehn_deltas,
     "cochain": suite_cochain,

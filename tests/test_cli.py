@@ -1,7 +1,10 @@
 import json
+import re
+import time
 from fractions import Fraction
+from pathlib import Path
 
-from veerlab import cli
+from veerlab import cli, sweeps
 
 W25 = "1 2 1 1 2 1 -1 -1 -1 -1 2 -1 2 -1"
 
@@ -81,6 +84,14 @@ def test_farey_path_matrix_input(capsys):
     assert report["turns"] == "R"
 
 
+def test_farey_path_refuses_an_overlong_walk_at_once(capsys):
+    start = time.perf_counter()
+    code, payload, err = run(capsys, ["farey-path", "--matrix", "1 0; 1000000000000 1"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and payload is None
+    assert "normal form longer than 2e6 syllables" in err
+
+
 def test_qp_cert_command(capsys):
     code, report, _ = run(capsys, ["qp-cert", "-n", "3", W25])
     assert code == 0
@@ -99,6 +110,12 @@ def test_usage_error_exits_one(capsys):
     code, payload, err = run(capsys, ["sweep", "--suite", "nonsense"])
     assert code == 1 and payload is None
     assert "invalid choice" in err
+
+
+def test_readme_lists_every_sweep_suite():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme.split("Available sweep suites:", 1)[1].split("\n\n", 1)[0]
+    assert re.findall(r"`([a-z-]+)`", paragraph) == sorted(sweeps.SUITES)
 
 
 def test_sweep_env_seed(capsys, monkeypatch):

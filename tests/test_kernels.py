@@ -1,35 +1,21 @@
-import os
-import random
-import shlex
-import shutil
-import subprocess
-import sys
-import sysconfig
-from pathlib import Path
-
 import pytest
 
-from veerlab import _core, _pure
-from veerlab.sweeps import random_psl, random_word
+from veerlab import _core, farey
+from veerlab.modular import PSL2Element, SL2Matrix, normal_form, rademacher
 
 
-def test_backends_agree():
-    rng = random.Random(61)
-    for _ in range(1500):
-        g = random_psl(rng, 50)
-        entries = g.rep.entries()
-        assert _core.nf_exponents(*entries) == _pure.nf_exponents(*entries)
-        assert _core.turn_letters(*entries) == _pure.turn_letters(*entries)
-        w = random_word(rng, 3, 35)
-        assert _core.word_matrix(w.letters) == _pure.word_matrix(w.letters)
+def _check_both_roads(g: PSL2Element) -> list[int]:
+    assert normal_form(g).to_psl() == g
+    assert rademacher(g) == farey.rademacher_turns(g)
+    return _core.nf_exponents(*g.rep.entries())
 
 
 def test_fallback_on_large_parabolic():
-    # Beyond the compiled syllable cap but still materializable.
+    # A long normal form on small entries: 200,001 syllables and turns.
     big = (1, 0, 200_001, 1)
-    r = _core.nf_exponents(*big)
-    assert r == _pure.nf_exponents(*big)
+    r = _check_both_roads(PSL2Element(SL2Matrix(*big)))
     assert len(r) == 200_002 and sum(r) == -200_001
+    assert _core.turn_letters(*big) == "L" * 200_001
 
 
 def test_fallback_on_huge_entries():
@@ -40,94 +26,21 @@ def test_fallback_on_huge_entries():
         # multiply by [[2, 1], [1, 1]] (the matrix of B A B^-1 A)
         a, b, c, d = 2 * a + b, a + b, 2 * c + d, c + d
     assert max(abs(x) for x in (a, b, c, d)) > 2**63
-    assert _core.nf_exponents(a, b, c, d) == _pure.nf_exponents(a, b, c, d)
-    assert _core.turn_letters(a, b, c, d) == _pure.turn_letters(a, b, c, d)
+    r = _check_both_roads(PSL2Element(SL2Matrix(a, b, c, d)))
+    assert r == [1, -1] * 80 + [0]
+    assert _core.turn_letters(a, b, c, d) == "RL" * 80
 
 
-def test_pure_guards():
+def test_kernel_guards():
     with pytest.raises(ValueError):
-        _pure.nf_exponents(1, 0, 0, 2)
+        _core.nf_exponents(1, 0, 0, 2)
     with pytest.raises(ValueError):
-        _pure.turn_letters(1, 1, 1, 1)
+        _core.turn_letters(1, 1, 1, 1)
     with pytest.raises(ValueError):
-        _pure.word_matrix([3])
-    with pytest.raises(ValueError):
-        _pure.nf_exponents(1, 0, 5_000_000, 1)  # oversized output refused
-
-
-# Run in a fresh interpreter against the build under test (argv[1]): the
-# backend must follow VEERLAB_PURE, and the twin tests above (argv[2]) must
-# hold with the compiled kernels, which refuse the fallback cases.
-_BUILD_CHECK = """
-import importlib.util, os, sys
-from veerlab import _core
-
-build, tests = sys.argv[1:]
-assert _core.__file__.startswith(build), _core.__file__
-if os.environ.get("VEERLAB_PURE"):
-    assert _core.USING_SPEEDUPS is False, "VEERLAB_PURE=1 left the extension on"
-else:
-    assert _core.USING_SPEEDUPS is True, "the build shipped no _speedups extension"
-    from veerlab import _speedups
-    assert _speedups.__file__.startswith(build), _speedups.__file__
-    for args in [(1, 0, 200_001, 1), (2**80, 1, 2**80 - 1, 1)]:
-        try:
-            _speedups.nf_exponents(*args)
-        except OverflowError:
-            pass
-        else:
-            raise AssertionError(f"compiled nf_exponents{args} did not overflow")
-    spec = importlib.util.spec_from_file_location("kernel_tests", tests)
-    twins = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(twins)
-    twins.test_backends_agree()
-    twins.test_fallback_on_large_parabolic()
-    twins.test_fallback_on_huge_entries()
-"""
-
-
-def _can_compile():
-    cc = sysconfig.get_config_var("CC")
-    include = sysconfig.get_paths()["include"]
-    return (
-        bool(cc)
-        and shutil.which(shlex.split(cc)[0]) is not None
-        and os.path.exists(os.path.join(include, "Python.h"))
-    )
-
-
-@pytest.mark.skipif(
-    not _can_compile(), reason="needs the C compiler named by sysconfig CC and Python.h"
-)
-def test_speedups_present_in_this_build(tmp_path):
-    # The compiled extension is part of the build; the pure path stays
-    # available behind VEERLAB_PURE=1.  Build a copy of the checkout, so
-    # that nothing lands in the source tree.
-    root = Path(__file__).resolve().parents[1]
-    for name in ("setup.py", "pyproject.toml"):
-        shutil.copy(root / name, tmp_path / name)
-    shutil.copytree(
-        root / "src",
-        tmp_path / "src",
-        ignore=shutil.ignore_patterns("__pycache__", "*.so", "*.egg-info"),
-    )
-    build = subprocess.run(
-        [sys.executable, "setup.py", "build_ext", "--inplace"],
-        cwd=tmp_path,
-        capture_output=True,
-        text=True,
-    )
-    assert build.returncode == 0, build.stdout + build.stderr
-
-    src = tmp_path / "src"
-    env = {k: v for k, v in os.environ.items() if k != "VEERLAB_PURE"}
-    env.update(PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    for extra in ({}, {"VEERLAB_PURE": "1"}):
-        check = subprocess.run(
-            [sys.executable, "-c", _BUILD_CHECK, str(src), __file__],
-            cwd=tmp_path,
-            env={**env, **extra},
-            capture_output=True,
-            text=True,
-        )
-        assert check.returncode == 0, (extra, check.stderr)
+        _core.word_matrix([3])
+    # Oversized output: both Rademacher roads refuse before building it.
+    n = _core.MAX_SYLLABLES
+    for m in [(1, 0, n + 1, 1), (1, n + 1, 0, 1), (1, 0, 10**12, 1)]:
+        for kernel in (_core.nf_exponents, _core.turn_letters):
+            with pytest.raises(ValueError, match="longer than 2e6 syllables"):
+                kernel(*m)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -40,6 +41,31 @@ def test_seifert_matrix_trefoil():
     v = linkinv.seifert_matrix(parse_braid("1 1 1", 2))
     sym = [[v[i][j] + v[j][i] for j in range(2)] for i in range(2)]
     assert sym == [[-2, 1], [1, -2]]
+
+
+def _brieskorn_count(p: int, q: int) -> int:
+    """Signature of the torus knot T(p, q), p and q coprime, as a lattice
+    count: a pair 0 < i < p, 0 < j < q counts -1 when 1/2 < i/p + j/q < 3/2
+    and +1 otherwise (Brieskorn, Invent. Math. 2 (1966); Hirzebruch-Zagier,
+    *The Atiyah-Singer theorem and elementary number theory*, 1974)."""
+    return sum(-1 if p * q < 2 * (i * q + j * p) < 3 * p * q else 1
+               for i in range(1, p) for j in range(1, q))
+
+
+def test_torus_knot_signatures_match_the_lattice_count():
+    # The closure of (s_1 ... s_(p-1))^q is T(p, q).  A closed form shares
+    # no code with either engine, so it pins the conventions they share.
+    checked = 0
+    for p in range(2, 8):
+        for q in range(2, 14):
+            if gcd(p, q) != 1:
+                continue
+            w = BraidWord(p, tuple(range(1, p)) * q)
+            expected = _brieskorn_count(p, q)
+            assert linkinv.seifert_signature(w) == expected, (p, q)
+            assert linkinv.meyer_signature(w) == expected, (p, q)
+            checked += 1
+    assert checked == 45
 
 
 def test_meyer_engine_fixtures():
