@@ -77,11 +77,34 @@ def _twist_matrix(dim: int, i: int, scale: int = 1) -> list[list[int]]:
     return m
 
 
-def _int_inverse(m: list[list[int]]) -> Matrix:
-    inv = linalg.inverse(linalg.frac_matrix(m))
-    if any(x.denominator != 1 for row in inv for x in row):
-        raise AssertionError("inverse of an integer matrix is not integral")
-    return inv
+def _check_twists(form, gens, invs) -> None:
+    """Validate generator images and their inverses in closed form, on ints.
+
+    The form must be skew.  Image i must be the twist v -> v - omega(v, C) C
+    about C = C_i, read off the form: the identity except row c = i - 1,
+    which is e_c - (omega(C_j, C))_j, at most two off-diagonal entries for
+    the intersection form.  Stored inverse i must be the twist with the
+    opposite sign.  With omega(C, C) = 0 such a twist is symplectic:
+    omega(T u, T v) = omega(u, v) - omega(u, C) omega(C, v) - omega(v, C)
+    omega(u, C) = omega(u, v).  Two such twists differ from I in row c only,
+    so their product is I exactly when row c of it is: on its nonzeros,
+    1 at c and the two rows' off-diagonal entries cancelling.  Each failure
+    raises AssertionError, which `python -O` keeps.
+    """
+    dim = len(form)
+    if not linalg.is_skew(form):
+        raise AssertionError("intersection form is not skew")
+    units = tuple(tuple(int(r == j) for j in range(dim)) for r in range(dim))
+    for c, (g, g_inv) in enumerate(zip(gens, invs)):
+        if form[c][c]:
+            raise AssertionError("twist curve is not isotropic")
+        for s, m in ((1, g), (-1, g_inv)):
+            row = tuple(u - s * f[c] for u, f in zip(units[c], form))
+            if m[c] != row or m[:c] != units[:c] or m[c + 1 :] != units[c + 1 :]:
+                raise AssertionError("generator image is not the twist about C_i")
+        # Row c of g g_inv is g_inv[c] + g[c] - e_c, as g[c][c] = 1.
+        if [x + y - u for x, y, u in zip(g[c], g_inv[c], units[c])] != list(units[c]):
+            raise AssertionError("inverse twist is not the inverse of the generator image")
 
 
 @lru_cache(maxsize=None)
@@ -99,15 +122,8 @@ def homology_rep(strands: int) -> HomologyRep:
         for i in range(1, strands)
     )
     form = tuple(tuple(int(x) for x in row) for row in intersection_form(dim // 2))
-    rep = HomologyRep(strands, gens, form, invs)
-    omega = linalg.frac_matrix(form)
-    for g, g_inv in zip(gens, invs):
-        gm = linalg.frac_matrix(g)
-        if linalg.mat_mul(linalg.mat_mul(linalg.transpose(gm), omega), gm) != omega:
-            raise AssertionError("generator image is not symplectic")
-        if _int_inverse(g) != linalg.frac_matrix(g_inv):
-            raise AssertionError("inverse twist is not the inverse of the generator image")
-    return rep
+    _check_twists(form, gens, invs)
+    return HomologyRep(strands, gens, form, invs)
 
 
 @lru_cache(maxsize=None)
@@ -129,18 +145,30 @@ def _odd_word(b: BraidWord) -> BraidWord:
 
 
 def burau_matrix(b: BraidWord) -> tuple[tuple[int, ...], ...]:
-    """Integer matrix image of the word (even words are embedded first)."""
+    """Integer matrix image of the word (even words are embedded first).
+
+    The product g_1 ... g_k of the letter images is built from the right,
+    g_i (g_{i+1} ... g_k), and each g_i is a twist that changes one row
+    (`_twist_rows`): O(dim) work per letter, not a dense product.
+    """
     b = _odd_word(b)
-    rep = homology_rep(b.strands)
+    form = homology_rep(b.strands).form
     dim = b.strands - 1
     out = [[int(i == j) for j in range(dim)] for i in range(dim)]
-    for letter in b.letters:
-        img = rep.image(letter)
-        out = [
-            [sum(out[i][k] * img[k][j] for k in range(dim)) for j in range(dim)]
-            for i in range(dim)
-        ]
+    for letter in reversed(b.letters):
+        _twist_rows(form, letter, out)
     return tuple(tuple(row) for row in out)
+
+
+def _twist_rows(form, letter: int, m: list[list[int]]) -> None:
+    """Replace m by T_C^s m in place: only row c changes, by -s omega(C_j, C) row j."""
+    s = 1 if letter > 0 else -1
+    c = abs(letter) - 1
+    row = m[c]
+    for j, f in enumerate(form):
+        if f[c]:
+            row = [x - s * f[c] * y for x, y in zip(row, m[j])]
+    m[c] = row
 
 
 def _generator_path(dim: int, letter: int) -> PolyMatrix:

@@ -104,17 +104,13 @@ def cmd_maslov(args: argparse.Namespace) -> int:
 
 
 def cmd_meyer(args: argparse.Namespace) -> int:
-    from veerlab import burau, linalg
+    from veerlab import burau
 
     a = parse_braid(args.word, args.strands)
     b = parse_braid(args.word2, args.strands)
     ao, bo = burau._odd_word(a), burau._odd_word(b)
     space = burau.symplectic_space(ao.strands)
-    value = symplectic.meyer_closed_form(
-        space,
-        linalg.frac_matrix(burau.burau_matrix(ao)),
-        linalg.frac_matrix(burau.burau_matrix(bo)),
-    )
+    value = symplectic.meyer_closed_form(space, burau.burau_matrix(ao), burau.burau_matrix(bo))
     _emit({"meyer": value})
     return EXIT_OK
 

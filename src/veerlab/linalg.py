@@ -7,10 +7,10 @@ and eliminations clear denominators (a row, or a column of a right
 factor, is scaled by the lcm of its denominators) and work on Python
 ints: integer dot products for mat_mul and mat_vec, Bareiss elimination
 for det, and fraction-free Gauss-Jordan with gcd-reduced rows for rank,
-solve, inverse and nullspace.  `particular_solution` is the one integer-in,
-integer-out entry: it exposes that elimination to callers whose data are
-integral, so they never build a Fraction.  No floating point is used
-anywhere.
+solve, inverse and nullspace.  `particular_solution` and `int_nullspace`
+are the integer-in, integer-out entries: they expose that elimination to
+callers whose data are integral, so they never build a Fraction.  No
+floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ __all__ = [
     "inverse",
     "nullspace",
     "particular_solution",
+    "int_nullspace",
     "is_symmetric",
     "is_skew",
 ]
@@ -221,6 +222,27 @@ def particular_solution(a, b) -> tuple[list[int], int] | None:
     for row, c in zip(rows, pivots):
         x[c] = row[cols] * (den // row[c])
     return x, den
+
+
+def int_nullspace(m) -> list[list[int]]:
+    """Basis of the right kernel of an integer matrix, as integer vectors.
+
+    One fraction-free Gauss-Jordan (`_echelon`).  With den > 0 the lcm of
+    the pivots, the vector of free column f has den at f and
+    -row[f] (den / row[p]) at the pivot column p of each echelon row: den
+    times the vector `nullspace` gives.  No Fraction is made.
+    """
+    cols = len(m[0]) if m else 0
+    rows, pivots = _echelon(m)
+    den = lcm(*(row[p] for row, p in zip(rows, pivots)))
+    basis = []
+    for f in sorted(set(range(cols)).difference(pivots)):
+        v = [0] * cols
+        v[f] = den
+        for row, p in zip(rows, pivots):
+            v[p] = -row[f] * (den // row[p])
+        basis.append(v)
+    return basis
 
 
 def is_symmetric(m: Matrix) -> bool:

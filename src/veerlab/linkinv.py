@@ -11,7 +11,8 @@ the word, so it is one sign read off one integer solve (`meyer_letter`);
 `invariants` and `signature` use it.  Turaev's closed form
 (`symplectic.meyer_closed_form`) serves general pairs (`meyer`,
 `verify_eq_signature`) and, in the meyer-cocycle sweep, cross-checks the
-rank-one term.  The Maslov index of the lifted path, for sign = -lk +
+rank-one term; it takes the integer Burau images as they are and runs on
+ints, with no inverse.  The Maslov index of the lifted path, for sign = -lk +
 2 mu, is counted by crossings in the same 2n-dimensional space; the
 doubled-space chart engine cross-checks it.
 
@@ -116,7 +117,7 @@ def meyer_signature(b: BraidWord) -> int:
     total = 0
     for letter in reversed(b.letters):
         total += meyer_letter(form, letter, suffix)
-        _twist_rows(form, letter, suffix)
+        burau._twist_rows(form, letter, suffix)
     return -total
 
 
@@ -154,17 +155,6 @@ def meyer_letter(form, letter: int, suffix) -> int:
     x, den = solution
     d = s * den - sum(xj * row[c] for xj, row in zip(x, form))
     return (d > 0) - (d < 0)
-
-
-def _twist_rows(form, letter: int, m: list[list[int]]) -> None:
-    """Replace m by T_C^s m in place: only row c changes, by -s omega(C_j, C) row j."""
-    s = 1 if letter > 0 else -1
-    c = abs(letter) - 1
-    row = m[c]
-    for j, f in enumerate(form):
-        if f[c]:
-            row = [x - s * f[c] * y for x, y in zip(row, m[j])]
-    m[c] = row
 
 
 def maslov_of_word(b: BraidWord) -> Fraction:
@@ -295,9 +285,7 @@ def verify_eq_signature(a: BraidWord, b: BraidWord) -> dict:
     ao = burau._odd_word(a)
     bo = burau._odd_word(b)
     space = burau.symplectic_space(ao.strands)
-    ga = linalg.frac_matrix(burau.burau_matrix(ao))
-    gb = linalg.frac_matrix(burau.burau_matrix(bo))
-    my = symplectic.meyer_closed_form(space, ga, gb)
+    my = symplectic.meyer_closed_form(space, burau.burau_matrix(ao), burau.burau_matrix(bo))
     s_ab = seifert_signature(BraidWord(a.strands, a.letters + b.letters))
     s_a = seifert_signature(a)
     s_b = seifert_signature(b)

@@ -48,7 +48,8 @@ g = H / M with H integral is symplectic when H^T K H = M^2 K.
 The Meyer cocycle has a closed form in V (`meyer_closed_form`, the engine
 for general pairs; braid closures use its rank-one specialization,
 `linkinv.meyer_letter`) and the ternary index of graphs in the doubled
-space V x V (`meyer`, the cross-check).
+space V x V (`meyer`, the cross-check).  Both run on integers; each
+clearing is a positive rescaling, a congruence that moves no signature.
 """
 
 from __future__ import annotations
@@ -164,9 +165,13 @@ class SymplecticSpace:
     def _gram(self, b) -> list[list[int]]:
         """B^T K B for an integer matrix B with dim rows: L omega(b_i, b_j)."""
         cols = list(zip(*b))
+        return self._pair(cols, cols)
+
+    def _pair(self, us, vs) -> list[list[int]]:
+        """[u^T K v] = [L omega(u, v)] for integer vectors u in us, v in vs."""
         nonzeros = self._int_form[2]
-        k_cols = [[sum(f * col[s] for s, f in nz) for nz in nonzeros] for col in cols]
-        return [[sum(map(mul, ci, kj)) for kj in k_cols] for ci in cols]
+        k_vs = [[sum(f * v[s] for s, f in nz) for nz in nonzeros] for v in vs]
+        return [[sum(map(mul, u, kv)) for kv in k_vs] for u in us]
 
     def is_symplectic_matrix(self, g: Matrix) -> bool:
         """g^T Omega g == Omega, on integers: with g = H / M cleared,
@@ -174,7 +179,7 @@ class SymplecticSpace:
         d = self.dim
         if len(g) != d or any(len(row) != d for row in g):
             return False
-        h, m = _cleared(g)
+        h, m = _integral(g)
         mm = m * m
         return self._gram(h) == [[mm * x for x in row] for row in self._int_form[1]]
 
@@ -211,6 +216,13 @@ def _cleared(m) -> tuple[list[list[int]], int]:
     """(M, s) with m == M / s: M an int matrix, s > 0 one scale for all entries."""
     s = lcm(*[x.denominator for row in m for x in row])
     return [[x.numerator * (s // x.denominator) for x in row] for row in m], s
+
+
+def _integral(m) -> tuple[list[list[int]], int]:
+    """`_cleared`, but an all-int m is returned as it is, with s = 1."""
+    if set(map(type, itertools.chain.from_iterable(m))) <= {int}:
+        return m, 1
+    return _cleared(m)
 
 
 def frame(space: SymplecticSpace, basis: Matrix) -> LagrangianFrame:
@@ -252,7 +264,7 @@ def signature(m: Matrix) -> int:
     """
     if not linalg.is_symmetric(m):
         raise ValueError("matrix is not symmetric")
-    rows = _cleared(m)[0]
+    rows = list(_integral(m)[0])  # rows are replaced, never changed in place
     written = [1] * len(rows)  # the scale each row was last written at
     active = list(range(len(rows)))
     prev = 1
@@ -625,7 +637,6 @@ def _segment_index(
     Q = W^T Omega F are built once per chart as n x n integer polynomial
     matrices (up to the same positive factor per column), and the chart is
     certified by Sturm root counting on det Q."""
-    space = lam0.space
     charts: dict[int, tuple[IntPolyMatrix, Poly]] = {}  # pool index -> (Q, det Q)
 
     def chart(idx: int) -> tuple[IntPolyMatrix, Poly]:
@@ -651,8 +662,8 @@ def _segment_index(
         if found is not None:
             if p is None:
                 p = _pm_left_mul(u[0], seg)
-            total += _chart_signature(space, seg, found, p, b)
-            total -= _chart_signature(space, seg, found, p, a)
+            total += _chart_signature(found, p, b)
+            total -= _chart_signature(found, p, a)
             continue
         mid = (a + b) / 2
         pool.append(_chart(u, _bespoke_complement(lam0, pm_eval(seg, mid), rng)))
@@ -661,19 +672,18 @@ def _segment_index(
     return total
 
 
-def _chart_signature(
-    space: SymplecticSpace, seg: PolyMatrix, q: IntPolyMatrix, p: IntPolyMatrix, t: Fraction
-) -> int:
+def _chart_signature(q: IntPolyMatrix, p: IntPolyMatrix, t: Fraction) -> int:
     """sig A(t) of the chart matrix A = -P Q^-1 at t, as sig(-Q^T P)(t).
 
     With G = I, X = -Q is invertible on the chart piece and X^T A X = -Q^T P,
     a congruence.  q and p, evaluated on integers, are P(t) and Q(t) up to
     positive scalars and the same positive factor per column, so q^T p is
     Q^T P up to a congruence by a positive diagonal matrix: the same
-    signature, and symmetric exactly when Q^T P is.  The frame seg(t) is
-    built and validated as well.
+    signature, and symmetric exactly when Q^T P is.  F(t) needs no frame
+    check: `LagrangianPath` checked its isotropy as polynomials, and det Q
+    has no root on the piece, so Q(t) = W^T Omega F(t) is invertible and
+    F(t) has rank n.
     """
-    frame(space, pm_eval(seg, t))
     qtp = _int_mul(zip(*_ipm_eval(q, t)), _ipm_eval(p, t))
     if not linalg.is_symmetric(qtp):
         raise AssertionError("chart matrix is not symmetric")
@@ -683,47 +693,46 @@ def _chart_signature(
 # --- ternary index and the Meyer cocycle ------------------------------------
 
 
+def _ternary(space: SymplecticSpace, f1, f2, f3) -> int:
+    """`ternary_index` on integer bases (lists of rows).  For (a, b, c) in
+    ker[f1 | f2 | -f3], v = f3 c and v2 = f2 b; the vectors whose z-parts c
+    are independent (the pivot columns of the z-parts) give a basis."""
+    n = space.n
+    null = linalg.int_nullspace([r1 + r2 + [-x for x in r3] for r1, r2, r3 in zip(f1, f2, f3)])
+    picked = linalg._echelon([list(z) for z in zip(*(v[2 * n :] for v in null))])[1]
+    chosen = [null[j] for j in picked]
+    vs = [[sum(map(mul, row, v[2 * n :])) for row in f3] for v in chosen]
+    v2s = [[sum(map(mul, row, v[n : 2 * n])) for row in f2] for v in chosen]
+    q = space._pair(v2s, vs)
+    if not linalg.is_symmetric(q):
+        raise AssertionError("ternary form is not symmetric")
+    return signature(q)
+
+
 def ternary_index(
     l1: LagrangianFrame, l2: LagrangianFrame, l3: LagrangianFrame
 ) -> int:
     """Signature of Q(v, w) = omega(v2, w) on (L1 + L2) intersect L3,
-    where v = v1 + v2 with v1 in L1, v2 in L2."""
+    where v = v1 + v2 with v1 in L1, v2 in L2.  On the cleared bases."""
     space = l1.space
     if l2.space != space or l3.space != space:
         raise ValueError("frames live in different spaces")
-    f1, f2, f3 = (f.basis_matrix() for f in (l1, l2, l3))
-    n = space.n
-    stacked = linalg.hstack(linalg.hstack(f1, f2), linalg.mat_scale(f3, -1))
-    null = linalg.nullspace(stacked)
-    # Select null vectors whose z-parts (last n coordinates) are independent.
-    chosen: list[list[Fraction]] = []
-    z_rows: list[list[Fraction]] = []
-    for vec in null:
-        z = vec[2 * n :]
-        if linalg.rank(z_rows + [z]) > len(z_rows):
-            z_rows.append(z)
-            chosen.append(vec)
-    vs = [linalg.mat_vec(f3, vec[2 * n :]) for vec in chosen]
-    v2s = [linalg.mat_vec(f2, vec[n : 2 * n]) for vec in chosen]
-    q = linalg.mat_mul(linalg.mat_mul(v2s, space.form_matrix()), linalg.transpose(vs))
-    if not linalg.is_symmetric(q):
-        raise AssertionError("ternary form is not symmetric")
-    return signature(q)
+    return _ternary(space, *(_cleared(f.basis)[0] for f in (l1, l2, l3)))
 
 
 def ternary_index_kernel(
     l1: LagrangianFrame, l2: LagrangianFrame, l3: LagrangianFrame
 ) -> int:
     """Second definition: signature of Q' on the kernel triple space
-    {(v1, v2, v3) : v1 + v2 + v3 = 0}, Q' = omega(v1, w3)."""
+    {(v1, v2, v3) : v1 + v2 + v3 = 0}, Q' = omega(v1, w3).  On the cleared
+    bases."""
     space = l1.space
-    f1, f2, f3 = (f.basis_matrix() for f in (l1, l2, l3))
+    f1, f2, f3 = (_cleared(f.basis)[0] for f in (l1, l2, l3))
     n = space.n
-    stacked = linalg.hstack(linalg.hstack(f1, f2), f3)
-    null = linalg.nullspace(stacked)
-    v1s = [linalg.mat_vec(f1, vec[:n]) for vec in null]
-    v3s = [linalg.mat_vec(f3, vec[2 * n :]) for vec in null]
-    q = [[space.omega(v1, w3) for w3 in v3s] for v1 in v1s]
+    null = linalg.int_nullspace([r1 + r2 + r3 for r1, r2, r3 in zip(f1, f2, f3)])
+    v1s = [[sum(map(mul, row, v[:n])) for row in f1] for v in null]
+    v3s = [[sum(map(mul, row, v[2 * n :])) for row in f3] for v in null]
+    q = space._pair(v1s, v3s)
     if not linalg.is_symmetric(q):
         raise AssertionError("kernel ternary form is not symmetric")
     return signature(q)
@@ -755,16 +764,27 @@ def meyer(
     Lifts (paths from the identity to g1, g2) may be passed but only their
     endpoints matter, which is verified; the value is the same for every
     choice of lift.
+
+    g1 and g2 are validated once.  Graphs of symplectic g are Lagrangian:
+    [I; g]^T (Omega + -Omega) [I; g] = Omega - g^T Omega g = 0, and the
+    identity block has rank d.  So the integer graph bases [m I; H] of I,
+    g1 = H1 / m1 and g1 g2 = H1 H2 / (m1 m2) need no frame.
     """
     for g, lf in ((g1, lift1), (g2, lift2)):
         if not space.is_symplectic_matrix(g):
             raise ValueError("matrix does not preserve the form")
         if lf is not None and lf.end_matrix() != [list(r) for r in g]:
             raise ValueError("lift endpoint does not match the matrix")
-    l1 = graph_lagrangian(space, linalg.identity(space.dim))
-    l2 = graph_lagrangian(space, g1)
-    l3 = graph_lagrangian(space, linalg.mat_mul(g1, g2))
-    return ternary_index(l1, l2, l3)
+    d = space.dim
+    (h1, m1), (h2, m2) = _integral(g1), _integral(g2)
+
+    def graph(h, m: int) -> list[list[int]]:
+        return [[m * (i == j) for j in range(d)] for i in range(d)] + [list(r) for r in h]
+
+    ident = [[int(i == j) for j in range(d)] for i in range(d)]
+    return _ternary(
+        space.doubled(), graph(ident, 1), graph(h1, m1), graph(_int_mul(h1, h2), m1 * m2)
+    )
 
 
 def meyer_closed_form(space: SymplecticSpace, g1: Matrix, g2: Matrix) -> int:
@@ -775,18 +795,33 @@ def meyer_closed_form(space: SymplecticSpace, g1: Matrix, g2: Matrix) -> int:
     symmetric on W (Meyer), which is asserted, so its symmetrization is
     itself.  The value equals `meyer` (the ternary index of graphs in
     V x V) for every symplectic pair; the meyer-cocycle sweep checks that.
+
+    On integers, with no inverse: x = A x' gives W = {(A x', y) :
+    (I - A) x' + (B - I) y = 0}, so for A = H1 / m1, B = H2 / m2 cleared,
+    (x', y) runs over ker[m2 (m1 I - H1) | m1 (H2 - m2 I)], and
+    q = (H1 x' + m1 y)^T K (H2 - m2 I) y' = L m1 m2 omega(x + y, (B - I) y').
+    (x', y) -> (A x', y) is an isomorphism onto W; it, the positive scalar
+    and the positive factors of the kernel vectors are congruences, so the
+    value is -sig(q).  Int matrices (`burau_matrix` tuples) are accepted.
     """
     for g in (g1, g2):
         if not space.is_symplectic_matrix(g):
             raise ValueError("matrix does not preserve the form")
     d = space.dim
-    ident = linalg.identity(d)
-    b_minus = linalg.mat_sub(g2, ident)
-    w = linalg.nullspace(linalg.hstack(linalg.mat_sub(linalg.inverse(g1), ident), b_minus))
-    left = [[x + y for x, y in zip(v[:d], v[d:])] for v in w]
-    right = [linalg.mat_vec(b_minus, v[d:]) for v in w]
-    # q is omega(x1 + y1, (B - I) y2), the negative of the Meyer form.
-    q = linalg.mat_mul(linalg.mat_mul(left, space.form_matrix()), linalg.transpose(right))
+    (h1, m1), (h2, m2) = _integral(g1), _integral(g2)
+    w = linalg.int_nullspace(
+        [
+            [m2 * (m1 * (i == j) - x) for j, x in enumerate(r1)]
+            + [m1 * (y - m2 * (i == j)) for j, y in enumerate(r2)]
+            for i, (r1, r2) in enumerate(zip(h1, h2))
+        ]
+    )
+    left, right = [], []
+    for v in w:
+        x, y = v[:d], v[d:]
+        left.append([sum(map(mul, row, x)) + m1 * yi for row, yi in zip(h1, y)])
+        right.append([sum(map(mul, row, y)) - m2 * yi for row, yi in zip(h2, y)])
+    q = space._pair(left, right)
     if not linalg.is_symmetric(q):
         raise AssertionError("Meyer form is not symmetric")
     return -signature(q)

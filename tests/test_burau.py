@@ -187,7 +187,8 @@ def test_invariant_checks_survive_optimized_mode():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = (
         "from veerlab import burau\n"
-        "for call in (lambda: burau._int_inverse([[2, 0], [0, 1]]),\n"
+        "forged = (((1, 2), (0, 1)),)\n"
+        "for call in (lambda: burau._check_twists(((0, 1), (-1, 0)), forged, forged),\n"
         "             lambda: burau._refine([[[0]]] * 2, 3)):\n"
         "    try:\n"
         "        call()\n"
@@ -210,6 +211,89 @@ def test_inverse_images_are_stored_and_integral():
     for n in (3, 5, 7, 9):
         rep = burau.homology_rep(n)
         for i in range(1, n):
-            assert rep.image(-i) == burau._int_inverse(rep.image(i))
+            assert rep.image(-i) == linalg.inverse(linalg.frac_matrix(rep.image(i)))
             assert all(type(x) is int for row in rep.image(-i) for x in row)
         assert all(type(x) is int for row in rep.form for x in row)
+
+
+def ref_burau_matrix(b):
+    """The dense reference: one O(dim^3) product per letter image."""
+    b = burau._odd_word(b)
+    rep = burau.homology_rep(b.strands)
+    dim = b.strands - 1
+    out = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    for letter in b.letters:
+        img = rep.image(letter)
+        out = [
+            [sum(out[i][k] * img[k][j] for k in range(dim)) for j in range(dim)]
+            for i in range(dim)
+        ]
+    return tuple(tuple(row) for row in out)
+
+
+def test_burau_matrix_matches_the_dense_reference():
+    rng = random.Random(2711)
+    for n in range(2, 12):
+        words = [BraidWord.identity(n)] + [random_word(rng, n, 12) for _ in range(25)]
+        for w in words:
+            m = burau.burau_matrix(w)
+            assert m == ref_burau_matrix(w), w
+            assert type(m) is tuple and all(type(row) is tuple for row in m)
+
+
+def ref_dense_check(form, gens, invs) -> bool:
+    """The dense validation: g^T Omega g == Omega and inverse(g) == the
+    stored inverse, in Fraction arithmetic."""
+    omega = linalg.frac_matrix(form)
+    for g, g_inv in zip(gens, invs):
+        gm = linalg.frac_matrix(g)
+        if linalg.mat_mul(linalg.mat_mul(linalg.transpose(gm), omega), gm) != omega:
+            return False
+        if linalg.inverse(gm) != linalg.frac_matrix(g_inv):
+            return False
+    return True
+
+
+def twist_check(form, gens, invs) -> bool:
+    try:
+        burau._check_twists(form, gens, invs)
+    except AssertionError:
+        return False
+    return True
+
+
+def _rep_data(n):
+    dim = n - 1
+    gens = tuple(tuple(map(tuple, burau._twist_matrix(dim, i))) for i in range(1, n))
+    invs = tuple(tuple(map(tuple, burau._twist_matrix(dim, i, -1))) for i in range(1, n))
+    form = tuple(tuple(int(x) for x in row) for row in burau.intersection_form(dim // 2))
+    return form, gens, invs
+
+
+def _replaced(images, k, r, c, value):
+    m = [list(row) for row in images[k]]
+    m[r][c] = value
+    return images[:k] + (tuple(map(tuple, m)),) + images[k + 1 :]
+
+
+def test_twist_check_accepts_what_the_dense_check_accepts():
+    for n in range(3, 42, 2):
+        form, gens, invs = _rep_data(n)
+        assert ref_dense_check(form, gens, invs) and twist_check(form, gens, invs), n
+    for n in (5, 7, 9):
+        form, gens, invs = _rep_data(n)
+        k = 1  # sigma_2: row 1 of its image has entries at columns 0 and 2
+        forgeries = [
+            (form, _replaced(gens, k, k, k + 1, 2), invs),  # wrong twist entry
+            (form, _replaced(gens, k, k - 1, k, 1), invs),  # entry outside row k
+            (form, gens, _replaced(invs, k, k, k - 1, -1)),  # inverse is not inverse
+        ]
+        for forged in forgeries:
+            assert not ref_dense_check(*forged), n
+            assert not twist_check(*forged), n
+        # Twists about the wrong curves are symplectic with the right
+        # inverses, so only the twist check sees them.
+        shifted = (form, gens[1:] + gens[:1], invs[1:] + invs[:1])
+        assert ref_dense_check(*shifted) and not twist_check(*shifted)
+    skew_broken = ((1, 1), (-1, 0))
+    assert not twist_check(skew_broken, *_rep_data(3)[1:])

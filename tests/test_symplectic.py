@@ -580,3 +580,184 @@ def test_det_poly_is_a_positive_multiple_of_the_determinant():
                 ratios.add(value / exact)
         assert len(ratios) <= 1 and all(r > 0 for r in ratios)
         assert all(c.denominator == 1 for c in d)
+
+
+# --- Fraction references for the integer Meyer layer -------------------------
+
+
+def ref_ternary_index(l1, l2, l3):
+    """The Fraction body: nullspace, a rank loop for the z-parts, mat_mul."""
+    space = l1.space
+    f1, f2, f3 = (f.basis_matrix() for f in (l1, l2, l3))
+    n = space.n
+    stacked = linalg.hstack(linalg.hstack(f1, f2), linalg.mat_scale(f3, -1))
+    chosen, z_rows = [], []
+    for vec in linalg.nullspace(stacked):
+        z = vec[2 * n :]
+        if linalg.rank(z_rows + [z]) > len(z_rows):
+            z_rows.append(z)
+            chosen.append(vec)
+    vs = [linalg.mat_vec(f3, vec[2 * n :]) for vec in chosen]
+    v2s = [linalg.mat_vec(f2, vec[n : 2 * n]) for vec in chosen]
+    q = linalg.mat_mul(linalg.mat_mul(v2s, space.form_matrix()), linalg.transpose(vs))
+    assert linalg.is_symmetric(q)
+    return sp.signature(q)
+
+
+def ref_ternary_index_kernel(l1, l2, l3):
+    space = l1.space
+    f1, f2, f3 = (f.basis_matrix() for f in (l1, l2, l3))
+    n = space.n
+    null = linalg.nullspace(linalg.hstack(linalg.hstack(f1, f2), f3))
+    v1s = [linalg.mat_vec(f1, vec[:n]) for vec in null]
+    v3s = [linalg.mat_vec(f3, vec[2 * n :]) for vec in null]
+    q = [[space.omega(v1, w3) for w3 in v3s] for v1 in v1s]
+    assert linalg.is_symmetric(q)
+    return sp.signature(q)
+
+
+def ref_meyer(space, g1, g2):
+    """Ternary index of validated graph frames of id, g1 and g1 g2."""
+    g1, g2 = linalg.frac_matrix(g1), linalg.frac_matrix(g2)
+    return ref_ternary_index(
+        sp.graph_lagrangian(space, linalg.identity(space.dim)),
+        sp.graph_lagrangian(space, g1),
+        sp.graph_lagrangian(space, linalg.mat_mul(g1, g2)),
+    )
+
+
+def ref_meyer_closed_form(space, g1, g2):
+    """The Fraction body: an inverse, a nullspace and three mat_muls."""
+    g1, g2 = linalg.frac_matrix(g1), linalg.frac_matrix(g2)
+    for g in (g1, g2):
+        if not space.is_symplectic_matrix(g):
+            raise ValueError("matrix does not preserve the form")
+    d = space.dim
+    ident = linalg.identity(d)
+    b_minus = linalg.mat_sub(g2, ident)
+    w = linalg.nullspace(linalg.hstack(linalg.mat_sub(linalg.inverse(g1), ident), b_minus))
+    left = [[x + y for x, y in zip(v[:d], v[d:])] for v in w]
+    right = [linalg.mat_vec(b_minus, v[d:]) for v in w]
+    q = linalg.mat_mul(linalg.mat_mul(left, space.form_matrix()), linalg.transpose(right))
+    assert linalg.is_symmetric(q)
+    return -sp.signature(q)
+
+
+def _seeded_meyer_pairs():
+    """(space, g1, g2): Burau images in B_3-B_9 as int tuples (random words of
+    length <= 12, identity, inverse and empty-word pairs) and non-integral
+    rational pairs in Sp(2n, Q), n <= 3."""
+    from veerlab import burau
+    from veerlab.braid import BraidWord
+    from veerlab.sweeps import random_word
+
+    rng = random.Random(2712)
+    pairs = []
+    for trial in range(60):
+        n = (3, 5, 7, 9)[trial % 4]
+        space = burau.symplectic_space(n)
+        a, b = random_word(rng, n, 12), random_word(rng, n, 12)
+        ga, gb = burau.burau_matrix(a), burau.burau_matrix(b)
+        a_inv = BraidWord(n, tuple(-x for x in reversed(a.letters)))
+        ident = burau.burau_matrix(BraidWord.identity(n))
+        pairs += [(space, ga, gb), (space, ident, gb), (space, ga, ident),
+                  (space, ident, ident), (space, ga, burau.burau_matrix(a_inv))]
+    for trial in range(45):
+        n = 1 + trial % 3
+        space = sp.SymplecticSpace.standard(n)
+        g1, g2 = _random_symplectic(n, rng), _random_symplectic(n, rng)
+        # Conjugating by a diagonal symplectic matrix makes the entries non-integral.
+        k = Fraction(rng.choice([2, 3, 5]))
+        diag = [[(k if i < n else 1 / k) * (i == j) for j in range(2 * n)] for i in range(2 * n)]
+        diag_inv = [[(1 / k if i < n else k) * (i == j) for j in range(2 * n)] for i in range(2 * n)]
+        conj = [linalg.mat_mul(linalg.mat_mul(diag, g), diag_inv) for g in (g1, g2)]
+        pairs += [(space, g1, g2), (space, *conj), (space, conj[0], linalg.inverse(conj[0]))]
+    return pairs
+
+
+def test_integer_meyer_matches_the_fraction_references():
+    integral = nonintegral = 0
+    for space, g1, g2 in _seeded_meyer_pairs():
+        expected = ref_meyer_closed_form(space, g1, g2)
+        assert ref_meyer(space, g1, g2) == expected
+        assert sp.meyer_closed_form(space, g1, g2) == expected
+        assert sp.meyer(space, g1, g2) == expected
+        integral += type(g1) is tuple
+        nonintegral += any(x.denominator != 1 for row in g1 for x in row)
+    assert integral >= 300 and nonintegral >= 30
+
+
+def test_integer_ternary_indices_match_the_fraction_references():
+    rng = random.Random(2713)
+    triples = []
+    for _ in range(25):
+        space, l1, l2, l3, *_ = _random_transverse_triple(rng.randint(1, 3), rng)
+        triples += [(l1, l2, l3), (l1, l1, l3), (l3, l2, l2), (l2, l3, l1)]
+    for space, g1, g2 in _seeded_meyer_pairs()[::7]:
+        g1, g2 = linalg.frac_matrix(g1), linalg.frac_matrix(g2)
+        triples.append(tuple(sp.graph_lagrangian(space, g)
+                             for g in (linalg.identity(space.dim), g1, linalg.mat_mul(g1, g2))))
+    for l1, l2, l3 in triples:
+        assert sp.ternary_index(l1, l2, l3) == ref_ternary_index(l1, l2, l3)
+        assert sp.ternary_index_kernel(l1, l2, l3) == ref_ternary_index_kernel(l1, l2, l3)
+
+
+def test_closed_form_and_ternary_take_int_and_fraction_matrices():
+    from veerlab import burau
+    from veerlab.braid import parse_braid
+
+    space = burau.symplectic_space(5)
+    a = burau.burau_matrix(parse_braid("1 2 -3 4 4 1", 5))
+    b = burau.burau_matrix(parse_braid("2 2 3 -1", 5))
+    for g1, g2 in ((a, b), (linalg.frac_matrix(a), linalg.frac_matrix(b))):
+        assert sp.meyer_closed_form(space, g1, g2) == sp.meyer(space, g1, g2)
+    assert sp.meyer_closed_form(space, a, b) == sp.meyer_closed_form(
+        space, linalg.frac_matrix(a), linalg.frac_matrix(b))
+    not_symplectic = tuple(tuple(2 * x if i == 0 else x for x in row) for i, row in enumerate(a))
+    not_square = a[:3]
+    for bad in (not_symplectic, not_square, linalg.frac_matrix(not_symplectic),
+                linalg.frac_matrix(not_square)):
+        for fn in (sp.meyer_closed_form, sp.meyer):
+            with pytest.raises(ValueError):
+                fn(space, bad, b)
+            with pytest.raises(ValueError):
+                fn(space, a, bad)
+
+
+def test_meyer_layer_needs_no_fraction_matrices(monkeypatch, capsys):
+    from veerlab import burau, cli, linkinv
+    from veerlab.sweeps import random_word
+
+    rng = random.Random(2714)
+    words = [(random_word(rng, n, 10), random_word(rng, n, 10)) for n in (2, 3, 4, 5, 7) * 4]
+    expected = []
+    for a, b in words:
+        space = burau.symplectic_space(burau._odd_word(a).strands)
+        ga = burau.burau_matrix(a)
+        gb = burau.burau_matrix(b)
+        expected.append((ref_meyer_closed_form(space, ga, gb), space, ga, gb))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Fraction matrix path entered")
+
+    for name in ("inverse", "nullspace", "mat_mul", "frac_matrix"):
+        monkeypatch.setattr(linalg, name, forbidden)
+    for (a, b), (value, space, ga, gb) in zip(words, expected):
+        report = linkinv.verify_eq_signature(a, b)
+        assert report["meyer"] == value and report["equal"]
+        assert sp.meyer(space, ga, gb) == value
+        assert sp.meyer_closed_form(space, ga, gb) == value
+        assert cli.main(["meyer", "-n", str(a.strands), str(a), str(b)]) == 0
+        assert capsys.readouterr().out.strip() == '{"meyer": %d}' % value
+
+
+def test_signature_takes_int_matrices_as_they_are(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("int matrix was cleared")
+
+    monkeypatch.setattr(sp, "_cleared", forbidden)
+    assert sp.signature([[2, 1, 0], [1, 2, 0], [0, 0, -3]]) == 1
+    assert sp.signature(((0, 1), (1, 0))) == 0
+    assert sp.signature([]) == 0
+    with pytest.raises(ValueError):
+        sp.signature([[1, 2], [3, 4]])
