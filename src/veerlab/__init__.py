@@ -63,7 +63,7 @@ from veerlab.symplectic import (
     signature,
     ternary_index,
 )
-from veerlab.burau import burau_matrix, embed_even, lift, standardize_form
+from veerlab.burau import burau_matrix, embed_even, lift
 from veerlab.linkinv import (
     gg_remark_check,
     meyer_signature,

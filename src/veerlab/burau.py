@@ -12,8 +12,15 @@ block pattern
 
 and for the last generator the lower-triangular twin of A1 (the twist
 formula forces it; the braid relations then hold on the nose).  Even braid
-groups embed by adding a trivial strand.  The lift to the universal cover
-replaces the offsets by t-multiples, one path segment per letter.
+groups embed by adding a trivial strand.
+
+This module is the one place that knows how a letter acts.  The letter
+sigma_i^s is the transvection T = I - s C y^T about C = C_i, with
+y_j = omega(C_j, C), read off the stored integer form.  `_twist_rows`
+applies it on the left (T m changes one row of m) and `_twist_pencil`
+gives its rank-one right action P T = P + x y^T.  Dense images are built
+only on demand (`HomologyRep.image`).  The lift to the universal cover
+runs each letter's twist from I to T: its segment is P + t x y^T.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 from veerlab import linalg, poly, symplectic
 from veerlab.braid import BraidWord, stabilize
@@ -29,6 +35,7 @@ from veerlab.linalg import Matrix
 from veerlab.symplectic import LagrangianPath, PolyMatrix, SymplecticSpace
 
 __all__ = [
+    "MAX_STRANDS",
     "HomologyRep",
     "SymplecticLift",
     "homology_rep",
@@ -36,10 +43,16 @@ __all__ = [
     "burau_matrix",
     "lift",
     "embed_even",
-    "standardize_form",
     "symplectic_space",
     "graph_path_of",
 ]
+
+# Largest strand count with a representation (even words embed one strand
+# up, so B_n is served for every n <= MAX_STRANDS).  The engines keep
+# dim x dim integer matrices, dim = strands - 1, so time and memory grow
+# quadratically: a one-letter `invariants` report takes about 3 s and
+# 102 MB in B_1601, and 9-13 s and 333 MB in B_3201 (Python 3.11, 2 vCPU).
+MAX_STRANDS = 3201
 
 
 def intersection_form(genus: int) -> Matrix:
@@ -54,76 +67,46 @@ def intersection_form(genus: int) -> Matrix:
 
 @dataclass(frozen=True)
 class HomologyRep:
-    """Generator images, their inverses and the intersection form for odd
-    strand count."""
+    """The integer intersection form for an odd strand count; letters act
+    by the twists read off it."""
 
     strands: int
-    generator_images: tuple
     form: tuple
-    inverse_images: tuple
 
-    def image(self, letter: int) -> Matrix:
-        images = self.generator_images if letter > 0 else self.inverse_images
-        return [list(row) for row in images[abs(letter) - 1]]
-
-
-def _twist_matrix(dim: int, i: int, scale: int = 1) -> list[list[int]]:
-    """Image of sigma_i: v -> v - scale * omega(v, C_i) C_i."""
-    m = [[int(r == c) for c in range(dim)] for r in range(dim)]
-    if i - 2 >= 0:
-        m[i - 1][i - 2] = -scale
-    if i <= dim - 1:
-        m[i - 1][i] = scale
-    return m
-
-
-def _check_twists(form, gens, invs) -> None:
-    """Validate generator images and their inverses in closed form, on ints.
-
-    The form must be skew.  Image i must be the twist v -> v - omega(v, C) C
-    about C = C_i, read off the form: the identity except row c = i - 1,
-    which is e_c - (omega(C_j, C))_j, at most two off-diagonal entries for
-    the intersection form.  Stored inverse i must be the twist with the
-    opposite sign.  With omega(C, C) = 0 such a twist is symplectic:
-    omega(T u, T v) = omega(u, v) - omega(u, C) omega(C, v) - omega(v, C)
-    omega(u, C) = omega(u, v).  Two such twists differ from I in row c only,
-    so their product is I exactly when row c of it is: on its nonzeros,
-    1 at c and the two rows' off-diagonal entries cancelling.  Each failure
-    raises AssertionError, which `python -O` keeps.
-    """
-    dim = len(form)
-    if not linalg.is_skew(form):
-        raise AssertionError("intersection form is not skew")
-    units = tuple(tuple(int(r == j) for j in range(dim)) for r in range(dim))
-    for c, (g, g_inv) in enumerate(zip(gens, invs)):
-        if form[c][c]:
-            raise AssertionError("twist curve is not isotropic")
-        for s, m in ((1, g), (-1, g_inv)):
-            row = tuple(u - s * f[c] for u, f in zip(units[c], form))
-            if m[c] != row or m[:c] != units[:c] or m[c + 1 :] != units[c + 1 :]:
-                raise AssertionError("generator image is not the twist about C_i")
-        # Row c of g g_inv is g_inv[c] + g[c] - e_c, as g[c][c] = 1.
-        if [x + y - u for x, y, u in zip(g[c], g_inv[c], units[c])] != list(units[c]):
-            raise AssertionError("inverse twist is not the inverse of the generator image")
+    def image(self, letter: int) -> list[list[int]]:
+        """Dense image of one letter, built on demand."""
+        dim = self.strands - 1
+        m = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        _twist_rows(self.form, letter, m)
+        return m
 
 
 @lru_cache(maxsize=None)
 def homology_rep(strands: int) -> HomologyRep:
+    """The representation of B_strands, checked once per strand count.
+
+    The form must be skew; on integers that makes its diagonal zero, so
+    omega(C_i, C_i) = 0.  Then every twist T v = v - s omega(v, C) C is symplectic,
+    omega(T u, T v) = omega(u, v) - s omega(u, C) omega(C, v)
+    - s omega(v, C) omega(u, C) = omega(u, v), and T_C^s T_C^-s = I.
+    A violation raises AssertionError, which `python -O` keeps.  Strand
+    counts above MAX_STRANDS raise `symplectic.BoundExceeded` before
+    anything is allocated.
+    """
     if strands % 2 == 0 or strands < 3:
         raise ValueError("homology representation needs odd strands >= 3")
+    if strands > MAX_STRANDS:
+        raise symplectic.BoundExceeded(
+            f"strand bound MAX_STRANDS = {MAX_STRANDS} exceeded ({strands} strands)"
+        )
     dim = strands - 1
-    gens = tuple(
-        tuple(tuple(row) for row in _twist_matrix(dim, i))
-        for i in range(1, strands)
-    )
-    # The inverse twist v -> v + omega(v, C_i) C_i, in closed form.
-    invs = tuple(
-        tuple(tuple(row) for row in _twist_matrix(dim, i, -1))
-        for i in range(1, strands)
-    )
-    form = tuple(tuple(int(x) for x in row) for row in intersection_form(dim // 2))
-    _check_twists(form, gens, invs)
-    return HomologyRep(strands, gens, form, invs)
+    rows = [[0] * dim for _ in range(dim)]
+    for i in range(dim - 1):
+        rows[i][i + 1], rows[i + 1][i] = 1, -1
+    form = tuple(map(tuple, rows))
+    if not linalg.is_skew(form):
+        raise AssertionError("intersection form is not skew")
+    return HomologyRep(strands, form)
 
 
 @lru_cache(maxsize=None)
@@ -171,20 +154,11 @@ def _twist_rows(form, letter: int, m: list[list[int]]) -> None:
     m[c] = row
 
 
-def _generator_path(dim: int, letter: int) -> PolyMatrix:
-    """The path t -> (twist by t) for a letter; inverses run from the
-    identity to the inverse matrix (pointwise inverse of the twist path)."""
-    i = abs(letter)
-    scale = 1 if letter > 0 else -1
-    pm = [
-        [poly.pconst(1) if r == c else poly.pzero() for c in range(dim)]
-        for r in range(dim)
-    ]
-    if i - 2 >= 0:
-        pm[i - 1][i - 2] = poly.poly([0, -scale])
-    if i <= dim - 1:
-        pm[i - 1][i] = poly.poly([0, scale])
-    return pm
+def _twist_pencil(form, letter: int, p: list[list[int]]) -> tuple[list[int], list[int]]:
+    """(x, y) with P T_C^s = P + x y^T: x = -s P C and y_j = omega(C_j, C)."""
+    s = 1 if letter > 0 else -1
+    c = abs(letter) - 1
+    return [-s * row[c] for row in p], [row[c] for row in form]
 
 
 @dataclass(frozen=True)
@@ -201,77 +175,27 @@ class SymplecticLift:
         last = self.segment_matrices()[-1]
         return symplectic.pm_eval(last, Fraction(1))
 
-    def compose_pointwise(self, other: "SymplecticLift") -> "SymplecticLift":
-        """The product lift t -> g1(t) g2(t), one segment per common piece.
-
-        Both lifts are reparametrized to a common set of pieces; on each
-        piece the product of two polynomial matrices is again polynomial.
-        """
-        segs1 = self.segment_matrices()
-        segs2 = other.segment_matrices()
-        k = len(segs1) * len(segs2) // gcd(len(segs1), len(segs2))
-        s1 = _refine(segs1, k)
-        s2 = _refine(segs2, k)
-        prod = [_pm_mul(a, b) for a, b in zip(s1, s2)]
-        word = BraidWord(self.word.strands, self.word.letters + other.word.letters)
-        return SymplecticLift(word, tuple(tuple(tuple(r) for r in s) for s in prod))
-
-
-def _refine(segs: list[PolyMatrix], k: int) -> list[PolyMatrix]:
-    """Split the path of len(segs) pieces into k equal pieces."""
-    m = len(segs)
-    if k % m:
-        raise AssertionError("piece count does not refine the path")
-    per = k // m
-    out = []
-    for seg in segs:
-        for j in range(per):
-            a = Fraction(j, per)
-            b = Fraction(1, per)
-            out.append(
-                [[poly.pcompose_affine(e, a, b) for e in row] for row in seg]
-            )
-    return out
-
-
-def _pm_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    n = len(a)
-    return [
-        [
-            _psum(poly.pmul(a[i][k], b[k][j]) for k in range(n))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-
-
-def _psum(polys) -> poly.Poly:
-    total = poly.pzero()
-    for p in polys:
-        total = poly.padd(total, p)
-    return total
-
 
 def lift(b: BraidWord) -> SymplecticLift:
-    """Lift of the word: segment j is (prefix product) * (letter path)."""
+    """Lift of the word: segment j is P + t x y^T, from the prefix image P
+    to P T, with (x, y) the letter's twist pencil (`_twist_pencil`).  As
+    y^T C = 0, the one-letter lifts of sigma_i and its inverse are
+    pointwise inverse."""
     b = _odd_word(b)
-    rep = homology_rep(b.strands)
+    form = homology_rep(b.strands).form
     dim = b.strands - 1
     prefix = [[int(i == j) for j in range(dim)] for i in range(dim)]
     segments = []
-    letters = b.letters if b.letters else ()
-    for letter in letters:
-        const = symplectic.constant_poly_matrix(linalg.frac_matrix(prefix))
-        seg = _pm_mul(const, _generator_path(dim, letter))
-        segments.append(seg)
-        img = rep.image(letter)
-        prefix = [
-            [sum(prefix[i][k] * img[k][j] for k in range(dim)) for j in range(dim)]
-            for i in range(dim)
-        ]
+    for letter in b.letters:
+        x, y = _twist_pencil(form, letter, prefix)
+        segments.append(tuple(
+            tuple(poly.poly([p, xi * yj]) for p, yj in zip(row, y))
+            for row, xi in zip(prefix, x)
+        ))
+        prefix = [[p + xi * yj for p, yj in zip(row, y)] for row, xi in zip(prefix, x)]
     if not segments:
-        segments.append(symplectic.constant_poly_matrix(linalg.identity(dim)))
-    return SymplecticLift(b, tuple(tuple(tuple(r) for r in s) for s in segments))
+        segments.append(tuple(tuple(poly.poly([p]) for p in row) for row in prefix))
+    return SymplecticLift(b, tuple(segments))
 
 
 def graph_path_of(b: BraidWord) -> LagrangianPath:
@@ -279,87 +203,3 @@ def graph_path_of(b: BraidWord) -> LagrangianPath:
     b = _odd_word(b)
     space = symplectic_space(b.strands)
     return symplectic.graph_path(space, lift(b).segment_matrices())
-
-
-def meyer_via_lifts(a: SymplecticLift, b: SymplecticLift) -> Fraction:
-    """Meyer value from Maslov indices of graph paths:
-    2 (mu(lift a) + mu(lift b) - mu(pointwise product)).
-
-    Agrees with the endpoint formula for every choice of lifts, which is
-    the well-definedness statement behind the cocycle.
-    """
-    strands = a.word.strands
-    space = symplectic_space(strands)
-    gid = symplectic.graph_lagrangian(space, linalg.identity(strands - 1))
-
-    def mu_of(lf: SymplecticLift) -> Fraction:
-        return symplectic.maslov_index(
-            symplectic.graph_path(space, lf.segment_matrices()), gid
-        )
-
-    return 2 * (mu_of(a) + mu_of(b) - mu_of(a.compose_pointwise(b)))
-
-
-def standardize_form(rep: HomologyRep) -> tuple[Matrix, HomologyRep]:
-    """Congruence T with T^T Omega T standard, plus the conjugated rep.
-
-    Symplectic Gram-Schmidt over the rationals: pick e, find its dual f,
-    project the rest onto the omega-complement of the pair, recurse.
-    """
-    omega = linalg.frac_matrix(rep.form)
-    dim = len(omega)
-    n = dim // 2
-    space_vecs = [
-        [Fraction(int(i == j)) for j in range(dim)] for i in range(dim)
-    ]
-
-    def omega_pair(u, v):
-        return sum(
-            ui * sum(o * vj for o, vj in zip(row, v))
-            for ui, row in zip(u, omega)
-        )
-
-    es: list[list[Fraction]] = []
-    fs: list[list[Fraction]] = []
-    pool = [list(v) for v in space_vecs]
-    while len(es) < n:
-        e = next(v for v in pool if any(x != 0 for x in v))
-        partner = next(v for v in pool if omega_pair(e, v) != 0)
-        f = [x / omega_pair(e, partner) for x in partner]
-        new_pool = []
-        for v in pool:
-            w = [
-                vi + omega_pair(v, e) * fi - omega_pair(v, f) * ei
-                for vi, ei, fi in zip(v, e, f)
-            ]
-            if any(x != 0 for x in w):
-                new_pool.append(w)
-        es.append(e)
-        fs.append(f)
-        # Drop dependent vectors to keep the pool a complement basis.
-        pool = []
-        basis_so_far = es + fs
-        for w in new_pool:
-            if linalg.rank(basis_so_far + pool + [w]) > len(basis_so_far) + len(pool):
-                pool.append(w)
-    t = linalg.transpose(es + fs)
-    std = linalg.mat_mul(linalg.mat_mul(linalg.transpose(t), omega), t)
-    expected = SymplecticSpace.standard(n).form_matrix()
-    if std != expected:
-        raise AssertionError("symplectic Gram-Schmidt failed")
-    t_inv = linalg.inverse(t)
-
-    def conjugated(images):
-        out = []
-        for g in images:
-            conj = linalg.mat_mul(linalg.mat_mul(t_inv, linalg.frac_matrix(g)), t)
-            out.append(tuple(tuple(row) for row in conj))
-        return tuple(out)
-
-    new_rep = HomologyRep(
-        rep.strands,
-        conjugated(rep.generator_images),
-        tuple(tuple(row) for row in expected),
-        conjugated(rep.inverse_images),
-    )
-    return t, new_rep

@@ -164,7 +164,7 @@ def maslov_of_word(b: BraidWord) -> Fraction:
     the prefix and N v = -s omega(v, C) C is the letter's rank-one twist
     generator (C = C_{|letter|}, s the letter's sign).  So Psi(t) - I is
     the pencil A + t x y^T with A = P - I, x = -s P C and y^T v =
-    omega(v, C).  Proof sketch (Robbin-Salamon, Topology 32, 1993): the
+    omega(v, C) (`burau._twist_pencil`).  Proof sketch (Robbin-Salamon, Topology 32, 1993): the
     index of the graph path against the diagonal counts crossings, the t
     with Psi(t) - I singular.  On ker(Psi(t) - I) the crossing form is
     s omega(u, C)^2 (oriented so that sigma_1 has mu = 1/2, as in the
@@ -191,11 +191,8 @@ def maslov_of_word(b: BraidWord) -> Fraction:
     prefix = [[int(i == j) for j in range(dim)] for i in range(dim)]
     segments = []  # (s, r(0), r_g, whether 0 < t* < 1) per letter
     for letter in b.letters:
-        s = 1 if letter > 0 else -1
-        c = abs(letter) - 1
-        x = [-s * row[c] for row in prefix]
-        y = [row[c] for row in form]  # omega(v, C) = sum_i v_i omega(C_i, C)
-        segments.append((s, *_pencil(_minus_identity(prefix), x, y)))
+        x, y = burau._twist_pencil(form, letter, prefix)
+        segments.append((1 if letter > 0 else -1, *_pencil(_minus_identity(prefix), x, y)))
         prefix = [[p + xi * yj for p, yj in zip(row, y)] for row, xi in zip(prefix, x)]
     # r(1) of a segment is r(0) of the next; the last one's is rank(g - I).
     ends = [seg[1] for seg in segments[1:]] + [linalg.rank(_minus_identity(prefix))]

@@ -7,9 +7,8 @@ computed over the rationals; a Maslov index is a half-integer and admits no
 tolerance.
 
 The chart engine serves general paths: the ternary-index lemma on rational
-frames, Meyer values from lifts, and the cross-check of the braid-lift
-Maslov index (which `linkinv.maslov_of_word` computes by crossing counts in
-V itself).  The Maslov index of a path gamma with respect to a reference
+frames and the cross-check of the braid-lift Maslov index (which
+`linkinv.maslov_of_word` computes by crossing counts in V itself).  The Maslov index of a path gamma with respect to a reference
 Lagrangian L0 is computed chartwise: subdivide until each piece is
 transverse to some Lagrangian complement L0' of L0 (certified exactly by Sturm root counting
 of the transversality determinant), write the piece as graphs {y = A(t) x}
@@ -92,7 +91,8 @@ class ChartMissError(Exception):
 
 
 class BoundExceeded(RuntimeError):
-    """A termination bound of the chart engine was hit; the message names it."""
+    """A termination bound was hit (the chart engine's, or the strand bound
+    `burau.MAX_STRANDS`); the message names it."""
 
 
 # Termination bounds of the chart engine.
@@ -755,26 +755,18 @@ def graph_path(space: SymplecticSpace, matrix_segments) -> LagrangianPath:
     return LagrangianPath(space.doubled(), tuple(segs))
 
 
-def meyer(
-    space: SymplecticSpace, g1: Matrix, g2: Matrix, lift1=None, lift2=None
-) -> int:
+def meyer(space: SymplecticSpace, g1: Matrix, g2: Matrix) -> int:
     """Meyer cocycle: ternary index of the graphs of id, g1, g1 g2 in the
     doubled space.
-
-    Lifts (paths from the identity to g1, g2) may be passed but only their
-    endpoints matter, which is verified; the value is the same for every
-    choice of lift.
 
     g1 and g2 are validated once.  Graphs of symplectic g are Lagrangian:
     [I; g]^T (Omega + -Omega) [I; g] = Omega - g^T Omega g = 0, and the
     identity block has rank d.  So the integer graph bases [m I; H] of I,
     g1 = H1 / m1 and g1 g2 = H1 H2 / (m1 m2) need no frame.
     """
-    for g, lf in ((g1, lift1), (g2, lift2)):
+    for g in (g1, g2):
         if not space.is_symplectic_matrix(g):
             raise ValueError("matrix does not preserve the form")
-        if lf is not None and lf.end_matrix() != [list(r) for r in g]:
-            raise ValueError("lift endpoint does not match the matrix")
     d = space.dim
     (h1, m1), (h2, m2) = _integral(g1), _integral(g2)
 

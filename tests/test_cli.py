@@ -172,6 +172,22 @@ def test_bound_exceeded_exits_three(capsys, monkeypatch):
     assert "bound exceeded" in err and "chart subdivision depth" in err
 
 
+def test_strand_bound_exits_three_at_once(capsys):
+    from veerlab import burau
+
+    start = time.perf_counter()
+    code, payload, err = run(capsys, ["invariants", "-n", str(burau.MAX_STRANDS + 2), "1"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and payload is None
+    assert f"strand bound MAX_STRANDS = {burau.MAX_STRANDS} exceeded" in err
+
+
+def test_invariants_on_a_wide_braid(capsys):
+    code, report, _ = run(capsys, ["invariants", "-n", "101", "1 100 2 -1 99 100 -2 1 -99 100 1"])
+    assert code == 0 and report["strands"] == 101
+    assert report["identity_checks"] and all(report["identity_checks"].values())
+
+
 def test_sign_maslov_sweep_reports_a_chart_mismatch(capsys, monkeypatch):
     from veerlab import linkinv
 
@@ -191,7 +207,7 @@ def test_invariants_stays_in_the_2n_space(capsys, monkeypatch):
     for module, name in ((symplectic, "graph_lagrangian"), (symplectic, "graph_path"),
                          (symplectic, "maslov_index"), (symplectic, "meyer"),
                          (symplectic, "ternary_index"), (burau, "graph_path_of"),
-                         (poly, "peval")):
+                         (burau, "lift"), (poly, "peval")):
         monkeypatch.setattr(module, name, forbidden)
     code, report, _ = run(capsys, ["invariants", "-n", "5", "1 -2 3 4 -3 2 2 1 -4"])
     assert code == 0 and all(report["identity_checks"].values())
