@@ -18,9 +18,10 @@ This module is the one place that knows how a letter acts.  The letter
 sigma_i^s is the transvection T = I - s C y^T about C = C_i, with
 y_j = omega(C_j, C), read off the stored integer form.  `_twist_rows`
 applies it on the left (T m changes one row of m) and `_twist_pencil`
-gives its rank-one right action P T = P + x y^T.  Dense images are built
-only on demand (`HomologyRep.image`).  The lift to the universal cover
-runs each letter's twist from I to T: its segment is P + t x y^T.
+gives its rank-one right action P T = P + x y^T, with the advanced P.
+Dense images are built only on demand (`HomologyRep.image`).  The lift to
+the universal cover runs each letter's twist from I to T: its segment is
+P + t x y^T.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from veerlab import linalg, poly, symplectic
+from veerlab import poly, symplectic
 from veerlab.braid import BraidWord, stabilize
 from veerlab.linalg import Matrix
 from veerlab.symplectic import LagrangianPath, PolyMatrix, SymplecticSpace
@@ -55,14 +56,10 @@ __all__ = [
 MAX_STRANDS = 3201
 
 
-def intersection_form(genus: int) -> Matrix:
-    """omega(C_i, C_j) = delta_{i+1,j} - delta_{i-1,j} on rank 2*genus."""
+def intersection_form(genus: int) -> tuple[tuple[int, ...], ...]:
+    """omega(C_i, C_j) = delta_{i+1,j} - delta_{i-1,j} on rank 2*genus, as ints."""
     dim = 2 * genus
-    form = linalg.zeros(dim, dim)
-    for i in range(dim - 1):
-        form[i][i + 1] = Fraction(1)
-        form[i + 1][i] = Fraction(-1)
-    return form
+    return tuple(tuple(int(j == i + 1) - int(j == i - 1) for j in range(dim)) for i in range(dim))
 
 
 @dataclass(frozen=True)
@@ -83,15 +80,15 @@ class HomologyRep:
 
 @lru_cache(maxsize=None)
 def homology_rep(strands: int) -> HomologyRep:
-    """The representation of B_strands, checked once per strand count.
+    """The representation of B_strands, built once per strand count.
 
-    The form must be skew; on integers that makes its diagonal zero, so
-    omega(C_i, C_i) = 0.  Then every twist T v = v - s omega(v, C) C is symplectic,
+    Its form is `intersection_form`, skew with zero diagonal by
+    construction, so omega(C_i, C_i) = 0.  Then every twist
+    T v = v - s omega(v, C) C is symplectic,
     omega(T u, T v) = omega(u, v) - s omega(u, C) omega(C, v)
     - s omega(v, C) omega(u, C) = omega(u, v), and T_C^s T_C^-s = I.
-    A violation raises AssertionError, which `python -O` keeps.  Strand
-    counts above MAX_STRANDS raise `symplectic.BoundExceeded` before
-    anything is allocated.
+    Strand counts above MAX_STRANDS raise `symplectic.BoundExceeded`
+    before anything is allocated.
     """
     if strands % 2 == 0 or strands < 3:
         raise ValueError("homology representation needs odd strands >= 3")
@@ -99,14 +96,7 @@ def homology_rep(strands: int) -> HomologyRep:
         raise symplectic.BoundExceeded(
             f"strand bound MAX_STRANDS = {MAX_STRANDS} exceeded ({strands} strands)"
         )
-    dim = strands - 1
-    rows = [[0] * dim for _ in range(dim)]
-    for i in range(dim - 1):
-        rows[i][i + 1], rows[i + 1][i] = 1, -1
-    form = tuple(map(tuple, rows))
-    if not linalg.is_skew(form):
-        raise AssertionError("intersection form is not skew")
-    return HomologyRep(strands, form)
+    return HomologyRep(strands, intersection_form((strands - 1) // 2))
 
 
 @lru_cache(maxsize=None)
@@ -143,10 +133,14 @@ def burau_matrix(b: BraidWord) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in out)
 
 
+def _letter(letter: int) -> tuple[int, int]:
+    """(s, c) for sigma_{c+1}^s: the twist's sign and the 0-based index of C."""
+    return (1 if letter > 0 else -1), abs(letter) - 1
+
+
 def _twist_rows(form, letter: int, m: list[list[int]]) -> None:
     """Replace m by T_C^s m in place: only row c changes, by -s omega(C_j, C) row j."""
-    s = 1 if letter > 0 else -1
-    c = abs(letter) - 1
+    s, c = _letter(letter)
     row = m[c]
     for j, f in enumerate(form):
         if f[c]:
@@ -154,11 +148,16 @@ def _twist_rows(form, letter: int, m: list[list[int]]) -> None:
     m[c] = row
 
 
-def _twist_pencil(form, letter: int, p: list[list[int]]) -> tuple[list[int], list[int]]:
-    """(x, y) with P T_C^s = P + x y^T: x = -s P C and y_j = omega(C_j, C)."""
-    s = 1 if letter > 0 else -1
-    c = abs(letter) - 1
-    return [-s * row[c] for row in p], [row[c] for row in form]
+def _twist_pencil(
+    form, letter: int, p: list[list[int]]
+) -> tuple[list[int], list[int], list[list[int]]]:
+    """(x, y, P T_C^s) with P T_C^s = P + x y^T: x = -s P C and y_j = omega(C_j, C).
+
+    P is left as it is; the advanced prefix is a new matrix."""
+    s, c = _letter(letter)
+    x = [-s * row[c] for row in p]
+    y = [row[c] for row in form]
+    return x, y, [[q + xi * yj for q, yj in zip(row, y)] for row, xi in zip(p, x)]
 
 
 @dataclass(frozen=True)
@@ -187,12 +186,12 @@ def lift(b: BraidWord) -> SymplecticLift:
     prefix = [[int(i == j) for j in range(dim)] for i in range(dim)]
     segments = []
     for letter in b.letters:
-        x, y = _twist_pencil(form, letter, prefix)
+        x, y, advanced = _twist_pencil(form, letter, prefix)
         segments.append(tuple(
             tuple(poly.poly([p, xi * yj]) for p, yj in zip(row, y))
             for row, xi in zip(prefix, x)
         ))
-        prefix = [[p + xi * yj for p, yj in zip(row, y)] for row, xi in zip(prefix, x)]
+        prefix = advanced
     if not segments:
         segments.append(tuple(tuple(poly.poly([p]) for p in row) for row in prefix))
     return SymplecticLift(b, tuple(segments))

@@ -146,8 +146,7 @@ def meyer_letter(form, letter: int, suffix) -> int:
     One fraction-free elimination of [B - I | C] (`linalg.particular_solution`)
     gives a = x / den, so the sign is that of s den - sum_j x_j omega(C_j, C).
     """
-    s = 1 if letter > 0 else -1
-    c = abs(letter) - 1
+    s, c = burau._letter(letter)
     target = [int(i == c) for i in range(len(suffix))]
     solution = linalg.particular_solution(_minus_identity(suffix), target)
     if solution is None:
@@ -191,9 +190,9 @@ def maslov_of_word(b: BraidWord) -> Fraction:
     prefix = [[int(i == j) for j in range(dim)] for i in range(dim)]
     segments = []  # (s, r(0), r_g, whether 0 < t* < 1) per letter
     for letter in b.letters:
-        x, y = burau._twist_pencil(form, letter, prefix)
-        segments.append((1 if letter > 0 else -1, *_pencil(_minus_identity(prefix), x, y)))
-        prefix = [[p + xi * yj for p, yj in zip(row, y)] for row, xi in zip(prefix, x)]
+        x, y, advanced = burau._twist_pencil(form, letter, prefix)
+        segments.append((burau._letter(letter)[0], *_pencil(_minus_identity(prefix), x, y)))
+        prefix = advanced
     # r(1) of a segment is r(0) of the next; the last one's is rank(g - I).
     ends = [seg[1] for seg in segments[1:]] + [linalg.rank(_minus_identity(prefix))]
     two_mu = sum(_segment_term(*seg, r1) for seg, r1 in zip(segments, ends))

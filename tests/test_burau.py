@@ -72,6 +72,13 @@ def test_intersection_form():
         for j in range(4):
             expected = (1 if j == i + 1 else 0) - (1 if j == i - 1 else 0)
             assert form[i][j] == expected
+    # The one builder of the form: skew with zero diagonal, so every twist
+    # is symplectic, and it is what the representation stores.
+    for genus in (1, 2, 5, 20):
+        form = burau.intersection_form(genus)
+        assert linalg.is_skew(form)
+        assert all(type(x) is int for row in form for x in row)
+        assert burau.homology_rep(2 * genus + 1).form == form
 
 
 def test_embed_even():
