@@ -37,6 +37,7 @@ from veerlab.symplectic import LagrangianPath, PolyMatrix, SymplecticSpace
 
 __all__ = [
     "MAX_STRANDS",
+    "MAX_DENSE_STRANDS",
     "HomologyRep",
     "SymplecticLift",
     "homology_rep",
@@ -54,6 +55,11 @@ __all__ = [
 # quadratically: a one-letter `invariants` report takes about 3 s and
 # 102 MB in B_1601, and 9-13 s and 333 MB in B_3201 (Python 3.11, 2 vCPU).
 MAX_STRANDS = 3201
+# Largest strand count with a dense `Fraction` space (`symplectic_space`),
+# which the `meyer` command, `verify_eq_signature` and the chart engine
+# use.  Their cost is cubic in the strand count: `meyer -n 301 1 1` takes
+# about 10 s (Python 3.11, 2 vCPU).
+MAX_DENSE_STRANDS = 301
 
 
 def intersection_form(genus: int) -> tuple[tuple[int, ...], ...]:
@@ -101,7 +107,14 @@ def homology_rep(strands: int) -> HomologyRep:
 
 @lru_cache(maxsize=None)
 def symplectic_space(strands: int) -> SymplecticSpace:
-    """The homology space of B_strands, built and validated once per count."""
+    """The homology space of B_strands, built and validated once per count.
+    Strand counts above MAX_DENSE_STRANDS raise `symplectic.BoundExceeded`
+    before anything is allocated."""
+    if strands > MAX_DENSE_STRANDS:
+        raise symplectic.BoundExceeded(
+            f"dense strand bound MAX_DENSE_STRANDS = {MAX_DENSE_STRANDS} exceeded "
+            f"({strands} strands)"
+        )
     rep = homology_rep(strands if strands % 2 == 1 else strands + 1)
     return SymplecticSpace(tuple(tuple(Fraction(x) for x in row) for row in rep.form))
 

@@ -4,8 +4,8 @@ Every subcommand prints one JSON object on stdout.  Rationals are
 serialized as "p/q" strings so no floating point ever appears.  Exit codes:
 0 success, 1 input error, 2 mathematical invariant violation (an identity
 check failed or a sweep found failures); the latter is never swallowed.
-3 a termination bound was hit: the chart engine's, or the strand bound
-`burau.MAX_STRANDS` (the message names it).
+3 a termination bound was hit: the chart engine's, or the strand bounds
+`burau.MAX_STRANDS` and `burau.MAX_DENSE_STRANDS` (the message names it).
 """
 
 from __future__ import annotations

@@ -210,16 +210,18 @@ def suite_gg_remark(count: int, seed: int) -> dict:
     return _result("gg-remark", count, seed, failures)
 
 
-def _random_symplectic(n: int, rng: random.Random) -> linalg.Matrix:
-    """A random element of Sp(2n, Q): products of shears and the J swap."""
+def _random_symplectic(n: int, rng: random.Random) -> list[list[int]]:
+    """A random element of Sp(2n, Z): products of integer shears and the J
+    swap, multiplied on ints."""
     space = symplectic.SymplecticSpace.standard(n)
-    g = linalg.identity(2 * n)
+    swap = [[int(x) for x in row] for row in space.form]
+    g = [[int(i == j) for j in range(2 * n)] for i in range(2 * n)]
     for _ in range(rng.randrange(2, 6)):
-        s = linalg.zeros(n, n)
+        s = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                s[i][j] = s[j][i] = Fraction(rng.randint(-2, 2))
-        shear = linalg.identity(2 * n)
+                s[i][j] = s[j][i] = rng.randint(-2, 2)
+        shear = [[int(i == j) for j in range(2 * n)] for i in range(2 * n)]
         upper = rng.random() < 0.5
         for i in range(n):
             for j in range(n):
@@ -227,9 +229,9 @@ def _random_symplectic(n: int, rng: random.Random) -> linalg.Matrix:
                     shear[i][n + j] = s[i][j]
                 else:
                     shear[n + i][j] = s[i][j]
-        g = linalg.mat_mul(g, shear)
+        g = symplectic._int_mul(g, shear)
         if rng.random() < 0.4:
-            g = linalg.mat_mul(g, space.form_matrix())
+            g = symplectic._int_mul(g, swap)
     if not space.is_symplectic_matrix(g):
         raise AssertionError("random product is not symplectic")
     return g
@@ -237,21 +239,23 @@ def _random_symplectic(n: int, rng: random.Random) -> linalg.Matrix:
 
 def _random_transverse_triple(n: int, rng: random.Random):
     """(space, L1, L2, L3, U1, U2, A): a mutually transverse triple with
-    its adapted frames, as psi-images of the model ({y=0}, {x=0}, {y=Ax})."""
+    its adapted frames, as psi-images of the model ({y=0}, {x=0}, {y=Ax}),
+    on ints: U1 and U2 are the two column blocks of psi."""
     space = symplectic.SymplecticSpace.standard(n)
     while True:
-        a = linalg.zeros(n, n)
+        a = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                a[i][j] = a[j][i] = Fraction(rng.randint(-3, 3))
+                a[i][j] = a[j][i] = rng.randint(-3, 3)
         if linalg.det(a) != 0:
             break
     psi = _random_symplectic(n, rng)
-    u1 = linalg.mat_mul(psi, linalg.vstack(linalg.identity(n), linalg.zeros(n, n)))
-    u2 = linalg.mat_mul(psi, linalg.vstack(linalg.zeros(n, n), linalg.identity(n)))
+    u1 = [row[:n] for row in psi]
+    u2 = [row[n:] for row in psi]
     l1 = symplectic.frame(space, u1)
     l2 = symplectic.frame(space, u2)
-    l3 = symplectic.frame(space, linalg.mat_add(u1, linalg.mat_mul(u2, a)))
+    u2a = symplectic._int_mul(u2, a)
+    l3 = symplectic.frame(space, [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(u1, u2a)])
     return space, l1, l2, l3, u1, u2, a
 
 
@@ -264,7 +268,7 @@ def suite_ternary_lemma(count: int, seed: int) -> dict:
         n = 1 if i % 2 == 0 else 2
         space, l1, l2, l3, u1, u2, a = _random_transverse_triple(n, rng)
         a_inv = linalg.inverse(a)
-        seg13 = _line_segment(u1, linalg.mat_mul(u2, a))
+        seg13 = _line_segment(u1, symplectic._int_mul(u2, a))
         seg23 = _line_segment(u2, linalg.mat_mul(u1, a_inv))
         g13 = symplectic.LagrangianPath(space, (seg13,))
         g23 = symplectic.LagrangianPath(space, (seg23,))

@@ -3,52 +3,35 @@
 Lagrangian frames, chart coordinates, signatures of symmetric forms, the
 Maslov index of piecewise-polynomial Lagrangian paths, the ternary index of
 Lagrangian triples, and the Meyer cocycle in two forms.  Everything is
-computed over the rationals; a Maslov index is a half-integer and admits no
-tolerance.
+exact; a Maslov index is a half-integer and admits no tolerance.
 
-The chart engine serves general paths: the ternary-index lemma on rational
-frames and the cross-check of the braid-lift Maslov index (which
-`linkinv.maslov_of_word` computes by crossing counts in V itself).  The Maslov index of a path gamma with respect to a reference
-Lagrangian L0 is computed chartwise: subdivide until each piece is
-transverse to some Lagrangian complement L0' of L0 (certified exactly by Sturm root counting
-of the transversality determinant), write the piece as graphs {y = A(t) x}
-in the dual coordinates of (L0, L0'), and sum the half-signature
-differences of A at the piece endpoints.  Endpoints may lie on the Maslov
-cycle of L0 (singular A is fine); only transversality to L0' is required.
-Its two termination bounds (subdivision depth, the search for a transverse
-complement) raise BoundExceeded, naming the bound.
+The chart engine serves general paths: the ternary-index lemma and the
+cross-check of `linkinv.maslov_of_word`.  It subdivides a path until each
+piece is transverse to a Lagrangian complement W of the reference
+L0 = span U (certified by Sturm root counting on det Q) and sums the
+half-signature differences of the chart matrix at the piece ends, which
+may lie on the Maslov cycle of L0.  Charts are read from the pairings
+P = U^T Omega F and Q = W^T Omega F of a frame F(t) of the path
+(`chart_coordinates`), with no solve; every pool complement has
+G = U^T Omega W = I, so a chart signature is sig(-Q^T P)
+(`_chart_signature`).  The pool is the dual complement V, checked once,
+and its shears U C + V, read off the pairings of U and V with no frame
+(`_complement_pool`); a bespoke complement is built and checked when no
+pool chart fits.  The two termination bounds (subdivision depth, the
+search for a transverse complement) raise BoundExceeded, naming the bound.
 
-Charts are read from omega-pairings, with no linear solve.  Let L0 = span U,
-L0' = span W, G = U^T Omega W, and V = W G^-1, so that U^T Omega V = I and
-W^T Omega V = 0 (W is Lagrangian).  Write a frame of the path as
-F = U X + V Y.  Then
-
-    P := U^T Omega F = Y,    Q := W^T Omega F = -G^T X,
-
-so X = -G^-T Q and the chart matrix is A = Y X^-1 = -P Q^-1 G^T.  F is
-transverse to W exactly when det Q != 0, because det[F | W] = +-det[U | W]
-det X; the two determinants of a segment differ by a nonzero constant
-factor, so their Sturm certificates agree.  Every complement in the pool
-has G = I (the dual complement, its shears U C + V and the bespoke ones;
-checked as each enters the pool), and then X^T A X = X^T Y = -Q^T P: the
-signature of A at a piece end is sig(-Q^T P), a congruence, and A is
-symmetric exactly when Q^T P is.  Per segment and chart, P(t) and Q(t) are
-n x n polynomial matrices, each a constant n x dim matrix times the
-segment, built once; the certificate runs on the n x n det Q(t).  Both are
-kept as integer polynomial matrices: clearing the segment's columns
-multiplies column j of P and of Q by the same positive factor, a
-congruence of Q^T P by a positive diagonal matrix, which moves neither
-its signature nor its symmetry nor the zeros of det Q.
-
-Validation computes on the form cleared to integers, K = L Omega: a frame
-B is isotropic when B^T K B = 0 (on B cleared to integers), and a matrix
-g = H / M with H integral is symplectic when H^T K H = M^2 K.
+Each object is validated once, on integers, with K = L Omega the form
+cleared: a frame B is isotropic when B^T K B = 0, g = H / M is symplectic
+when H^T K H = M^2 K, and a path segment F when F^T K F = 0 as integer
+polynomials, its ranks and junctions read off its integer columns.  Paths
+made by `LagrangianPath.reversed` and `concat` reuse that validation.
+Each clearing is a positive rescaling, a congruence that moves no
+signature.
 
 The Meyer cocycle has a closed form in V (`meyer_closed_form`, the engine
 for general pairs; braid closures use its rank-one specialization,
 `linkinv.meyer_letter`) and the ternary index of graphs in the doubled
-space V x V (`meyer`, the cross-check).  Both run on integers; each
-clearing is a positive rescaling, a congruence that moves no signature.
+space V x V (`meyer`, the cross-check).  Both run on integers.
 """
 
 from __future__ import annotations
@@ -57,7 +40,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import factorial, gcd, lcm
 from operator import mul
 
@@ -91,8 +74,8 @@ class ChartMissError(Exception):
 
 
 class BoundExceeded(RuntimeError):
-    """A termination bound was hit (the chart engine's, or the strand bound
-    `burau.MAX_STRANDS`); the message names it."""
+    """A termination bound was hit (the chart engine's, or a strand bound
+    in `burau`); the message names it."""
 
 
 # Termination bounds of the chart engine.
@@ -126,20 +109,16 @@ class SymplecticSpace:
     def form_matrix(self) -> Matrix:
         return [list(row) for row in self.form]
 
-    def omega(self, u: list[Fraction], v: list[Fraction]) -> Fraction:
-        return sum(
-            ui * sum(f * vj for f, vj in zip(row, v))
-            for ui, row in zip(u, self.form)
-        )
-
-    @classmethod
-    def standard(cls, n: int) -> "SymplecticSpace":
-        """omega = sum dx_i wedge dy_i: block form [[0, I], [-I, 0]]."""
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def standard(n: int) -> "SymplecticSpace":
+        """omega = sum dx_i wedge dy_i: block form [[0, I], [-I, 0]], built
+        and validated once per n."""
         form = [[Fraction(0)] * 2 * n for _ in range(2 * n)]
         for i in range(n):
             form[i][n + i] = Fraction(1)
             form[n + i][i] = Fraction(-1)
-        return cls(tuple(tuple(row) for row in form))
+        return SymplecticSpace(tuple(tuple(row) for row in form))
 
     def doubled(self) -> "SymplecticSpace":
         """(V x V, omega + (-omega)), home of the graph Lagrangians."""
@@ -206,10 +185,6 @@ class LagrangianFrame:
 
     def basis_matrix(self) -> Matrix:
         return [list(row) for row in self.basis]
-
-    def same_subspace(self, other: "LagrangianFrame") -> bool:
-        stacked = linalg.hstack(self.basis_matrix(), other.basis_matrix())
-        return linalg.rank(stacked) == self.space.n
 
 
 def _cleared(m) -> tuple[list[list[int]], int]:
@@ -419,12 +394,10 @@ def _int_columns(pm: PolyMatrix) -> list[list[list[int]]]:
     return cols
 
 
-def _pm_left_mul(r: list[list[int]], pm: PolyMatrix) -> IntPolyMatrix:
-    """R pm for an integer k x dim matrix R and a dim x n polynomial matrix,
-    up to a positive factor per column: column j of pm is cleared to
-    integers with one scale s_j, and column j of the result is s_j R pm_j.
-    Every entry of column j is a coefficient list of pm_j's width."""
-    cols = [list(zip(*ints)) for ints in _int_columns(pm)]
+def _pm_left_mul(r: list[list[int]], cols) -> IntPolyMatrix:
+    """R pm for an integer k x dim matrix R, with pm's integer columns
+    (`_int_columns`) given as coefficient vectors: column j is s_j R pm_j,
+    s_j > 0 the scale of pm_j, a coefficient list of pm_j's width."""
     return [[[sum(map(mul, row, ck)) for ck in coeffs] for coeffs in cols] for row in r]
 
 
@@ -435,16 +408,13 @@ def _ipm_eval(m: IntPolyMatrix, t) -> list[list[int]]:
     return [[poly.peval_homogeneous(c, u, v) for c in row] for row in m]
 
 
-def _pm_isotropic(seg: PolyMatrix, space: SymplecticSpace) -> bool:
-    """Exact check that seg(t)^T Omega seg(t) is the zero matrix of polys.
-
-    On integers: the columns f_i of seg are cleared to one scale each and
-    the form to K = L Omega, positive factors that keep zero at zero.  The
-    diagonal f_i^T Omega f_i vanishes identically (Omega is skew), so the
-    pairs i < j are checked, coefficient by coefficient.
-    """
+def _pm_isotropic(cols, space: SymplecticSpace) -> bool:
+    """Exact check that F(t)^T Omega F(t) is the zero matrix of polys, on
+    the integer columns f_i of F (`_int_columns`) and K = L Omega, positive
+    factors that keep zero at zero.  f_i^T Omega f_i vanishes identically
+    (Omega is skew), so the pairs i < j are checked, coefficient by
+    coefficient."""
     nonzeros = space._int_form[2]
-    cols = _int_columns(seg)
     for j, fj in enumerate(cols):
         width = len(fj[0])
         kf = [[sum(f * fj[s][c] for s, f in nz) for c in range(width)] for nz in nonzeros]
@@ -490,9 +460,24 @@ def _det_poly(m: IntPolyMatrix) -> Poly:
     return poly.poly([c // content for c in coeffs])
 
 
+def _rank(m: list[list[int]]) -> int:
+    return len(linalg._echelon(m)[1])
+
+
+def _at(cols, t) -> list[list[int]]:
+    """F(t) on F's integer columns: a positive column scaling, same span."""
+    return _ipm_eval(list(zip(*cols)), t)
+
+
 @dataclass(frozen=True)
 class LagrangianPath:
-    """A piecewise-polynomial path of Lagrangians on [0, 1] per segment."""
+    """A piecewise-polynomial path of Lagrangians on [0, 1] per segment.
+
+    Each segment F is checked once, on its integer columns: F is dim x n,
+    isotropic as polynomials, of rank n at t = 0, 1/2 and 1, and F(0) spans
+    the previous segment's F(1).  No frame is built: its Gram check at a
+    sample would only repeat the polynomial isotropy.
+    """
 
     space: SymplecticSpace
     segments: tuple
@@ -501,63 +486,83 @@ class LagrangianPath:
         if not self.segments:
             raise ValueError("path needs at least one segment")
         object.__setattr__(
-            self, "segments", tuple(tuple(tuple(e for e in row) for row in s) for s in self.segments)
+            self, "segments", tuple(tuple(tuple(row) for row in s) for s in self.segments)
         )
+        dim, n = self.space.dim, self.space.n
         prev_end = None
-        for seg in self.segment_matrices():
-            # Isotropy must hold identically in t: F(t)^T Omega F(t) = 0
-            # as polynomials, checked exactly.
-            if not _pm_isotropic(seg, self.space):
+        for seg in self.segments:
+            if len(seg) != dim or any(len(row) != n for row in seg):
+                raise ValueError("frame must be dim x n")
+            cols = _int_columns(seg)
+            if not _pm_isotropic(cols, self.space):
                 raise ValueError("segment is not isotropic for all t")
-            for t in (Fraction(0), Fraction(1, 2), Fraction(1)):
-                f = frame(self.space, pm_eval(seg, t))  # rank check at samples
-                if t == 0 and prev_end is not None and not f.same_subspace(prev_end):
-                    raise ValueError("segment endpoints do not match")
-            prev_end = f  # the t = 1 frame
+            start, mid, end = (_at(cols, t) for t in (Fraction(0), Fraction(1, 2), Fraction(1)))
+            if any(_rank(f) != n for f in (start, mid, end)):
+                raise ValueError("frame columns are dependent")
+            if prev_end is not None:
+                _check_junction(prev_end, start)
+            prev_end = end
 
     def segment_matrices(self) -> list[PolyMatrix]:
-        return [[[entry for entry in row] for row in seg] for seg in self.segments]
+        return [[list(row) for row in seg] for seg in self.segments]
+
+    def _derived(self, segments: tuple) -> "LagrangianPath":
+        path = object.__new__(LagrangianPath)
+        object.__setattr__(path, "space", self.space)
+        object.__setattr__(path, "segments", segments)
+        return path
 
     def reversed(self) -> "LagrangianPath":
-        segs = []
-        for seg in reversed(self.segment_matrices()):
-            segs.append(
-                [[poly.pcompose_affine(entry, 1, -1) for entry in row] for row in seg]
-            )
-        return LagrangianPath(self.space, tuple(segs))
+        """Not re-validated: t -> 1 - t maps the samples {0, 1/2, 1} onto
+        themselves, keeps isotropy identically in t, and meets the same
+        junction pairs."""
+        return self._derived(tuple(
+            tuple(tuple(poly.pcompose_affine(e, 1, -1) for e in row) for row in seg)
+            for seg in reversed(self.segments)
+        ))
 
     def concat(self, other: "LagrangianPath") -> "LagrangianPath":
+        """Both paths are validated, so only the new junction is checked."""
         if other.space != self.space:
             raise ValueError("paths live in different spaces")
-        return LagrangianPath(self.space, self.segments + other.segments)
+        _check_junction(
+            _at(_int_columns(self.segments[-1]), Fraction(1)),
+            _at(_int_columns(other.segments[0]), Fraction(0)),
+        )
+        return self._derived(self.segments + other.segments)
 
 
-def _complement_pool(lam0: LagrangianFrame) -> list[LagrangianFrame]:
-    """Complements of lam0: the dual complement and a few shear images."""
-    space = lam0.space
-    v = lagrangian_complement(lam0)
-    u = lam0.basis_matrix()
-    pool = [v]
-    n = space.n
-    for c_mat in _candidate_symmetrics(n):
-        basis = linalg.mat_add(linalg.mat_mul(u, c_mat), v.basis_matrix())
-        pool.append(frame(space, basis))
-    return pool
+def _check_junction(end: list[list[int]], start: list[list[int]]) -> None:
+    if _rank([a + b for a, b in zip(end, start)]) != len(end[0]):
+        raise ValueError("segment endpoints do not match")
+
+
+def _complement_pool(lam0: LagrangianFrame, u) -> list[list[list[int]]]:
+    """Chart rows W^T Omega, each up to a positive factor, of complements
+    of lam0 = span U (u = `_pairing(lam0)`): the dual complement V and its
+    shears W = U C + V.
+
+    Only V is a frame (`_chart` checks it).  A shear needs none: C = C^T
+    is integral, U and V are Lagrangian and U^T Omega V = I, so
+    W^T Omega W = C^T - C = 0 and U^T Omega W = I.  With U^T Omega =
+    R_U / d_U and V^T Omega = R_V / d_V, its rows are
+    d_U d_V W^T Omega = d_V C^T R_U + d_U R_V.
+    """
+    r_u, d_u = u
+    r_v, d_v = _chart(u, lagrangian_complement(lam0))
+    return [r_v] + [
+        [[d_v * x + d_u * y for x, y in zip(cu, rv)] for cu, rv in zip(_int_mul(c, r_u), r_v)]
+        for c in _candidate_symmetrics(lam0.space.n)
+    ]
 
 
 def _candidate_symmetrics(n: int):
-    yield linalg.identity(n)
-    yield linalg.mat_scale(linalg.identity(n), -1)
-    yield linalg.mat_scale(linalg.identity(n), 2)
-    diag = linalg.zeros(n, n)
-    for i in range(n):
-        diag[i][i] = Fraction(1 if i % 2 == 0 else -1)
-    yield diag
+    """I, -I, 2I and diag(1, -1, 1, ...), as int matrices."""
+    for diag in ([1] * n, [-1] * n, [2] * n, [1 - 2 * (i % 2) for i in range(n)]):
+        yield [[d * (i == j) for j in range(n)] for i, d in enumerate(diag)]
 
 
-def _bespoke_complement(
-    lam0: LagrangianFrame, target: Matrix, rng: random.Random
-) -> LagrangianFrame:
+def _bespoke_complement(lam0: LagrangianFrame, target: Matrix, rng) -> LagrangianFrame:
     """A Lagrangian complement of lam0 transverse to the target frame.
 
     Complements of lam0 are graphs over the dual complement, parametrized
@@ -583,8 +588,8 @@ def _bespoke_complement(
     )
 
 
-def _random_symmetrics(n: int, rng: random.Random, tries: int = _COMPLEMENT_TRIES):
-    for k in range(tries):
+def _random_symmetrics(n: int, rng: random.Random):
+    for k in range(_COMPLEMENT_TRIES):
         bound = 2 + k // 10
         m = linalg.zeros(n, n)
         for i in range(n):
@@ -593,19 +598,15 @@ def _random_symmetrics(n: int, rng: random.Random, tries: int = _COMPLEMENT_TRIE
         yield m
 
 
-def _chart(u: tuple[list[list[int]], int], complement: LagrangianFrame) -> list[list[int]]:
-    """W^T Omega, up to a positive factor, for a pool complement W of
-    lam0 = span U (u is the pairing U^T Omega as `_pairing` gives it).
-
-    Every pool complement is omega-dual to U by construction (G = U^T Omega W
-    = I), which the chart signatures rely on; it is checked here, as each
-    complement enters the pool.
-    """
+def _chart(u, complement: LagrangianFrame):
+    """`_pairing(complement)` for a complement W of lam0 = span U (u is
+    lam0's pairing), after checking G = U^T Omega W = I, which the chart
+    signatures rely on.  The dual and bespoke complements pass here."""
     (r, den), (wi, ws) = u, _cleared(complement.basis_matrix())
     unit = den * ws
     if _int_mul(r, wi) != [[unit * (i == j) for j in range(len(r))] for i in range(len(r))]:
         raise AssertionError("pool complement is not omega-dual to the reference")
-    return _pairing(complement)[0]
+    return _pairing(complement)
 
 
 def maslov_index(path: LagrangianPath, lam0: LagrangianFrame) -> Fraction:
@@ -617,31 +618,25 @@ def maslov_index(path: LagrangianPath, lam0: LagrangianFrame) -> Fraction:
     if path.space != lam0.space:
         raise ValueError("path and reference live in different spaces")
     u = _pairing(lam0)
-    pool = [_chart(u, c) for c in _complement_pool(lam0)]
+    pool = _complement_pool(lam0, u)
     rng = random.Random(20570)
-    twice = 0
-    for seg in path.segment_matrices():
-        twice += _segment_index(seg, lam0, u, pool, rng)
-    return Fraction(twice, 2)
+    return Fraction(sum(_segment_index(seg, lam0, u, pool, rng) for seg in path.segments), 2)
 
 
-def _segment_index(
-    seg: PolyMatrix,
-    lam0: LagrangianFrame,
-    u: tuple[list[list[int]], int],
-    pool: list[list[list[int]]],
-    rng: random.Random,
-) -> int:
+def _segment_index(seg: PolyMatrix, lam0: LagrangianFrame, u, pool, rng) -> int:
     """Twice the Maslov index of one segment F: a sum over chart pieces
     [a, b] of sig(-Q^T P)(b) - sig(-Q^T P)(a), where P = U^T Omega F and
     Q = W^T Omega F are built once per chart as n x n integer polynomial
     matrices (up to the same positive factor per column), and the chart is
-    certified by Sturm root counting on det Q."""
+    certified by Sturm root counting on det Q: det[F | W] = +-det[U | W]
+    det X with Q = -G^T X.  F's columns are cleared once, for P and every
+    Q."""
+    cols = [list(zip(*ints)) for ints in _int_columns(seg)]
     charts: dict[int, tuple[IntPolyMatrix, Poly]] = {}  # pool index -> (Q, det Q)
 
     def chart(idx: int) -> tuple[IntPolyMatrix, Poly]:
         if idx not in charts:
-            q = _pm_left_mul(pool[idx], seg)
+            q = _pm_left_mul(pool[idx], cols)
             charts[idx] = (q, _det_poly(q))
         return charts[idx]
 
@@ -661,12 +656,12 @@ def _segment_index(
             break
         if found is not None:
             if p is None:
-                p = _pm_left_mul(u[0], seg)
+                p = _pm_left_mul(u[0], cols)
             total += _chart_signature(found, p, b)
             total -= _chart_signature(found, p, a)
             continue
         mid = (a + b) / 2
-        pool.append(_chart(u, _bespoke_complement(lam0, pm_eval(seg, mid), rng)))
+        pool.append(_chart(u, _bespoke_complement(lam0, pm_eval(seg, mid), rng))[0])
         stack.append((mid, b, depth + 1))
         stack.append((a, mid, depth + 1))
     return total

@@ -182,6 +182,17 @@ def test_strand_bound_exits_three_at_once(capsys):
     assert f"strand bound MAX_STRANDS = {burau.MAX_STRANDS} exceeded" in err
 
 
+def test_dense_strand_bound_exits_three_at_once(capsys):
+    from veerlab import burau
+
+    n = burau.MAX_DENSE_STRANDS + 2
+    start = time.perf_counter()
+    code, payload, err = run(capsys, ["meyer", "-n", str(n), "1", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and payload is None
+    assert f"MAX_DENSE_STRANDS = {burau.MAX_DENSE_STRANDS} exceeded ({n} strands)" in err
+
+
 def test_invariants_on_a_wide_braid(capsys):
     code, report, _ = run(capsys, ["invariants", "-n", "101", "1 100 2 -1 99 100 -2 1 -99 100 1"])
     assert code == 0 and report["strands"] == 101

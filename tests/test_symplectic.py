@@ -324,7 +324,8 @@ def test_graph_lagrangian_examples():
     expected = sp.frame(
         space.doubled(), linalg.frac_matrix([[1, 0], [0, 1], [1, 1], [0, 1]])
     )
-    assert gh.same_subspace(expected)
+    stacked = linalg.hstack(gh.basis_matrix(), expected.basis_matrix())
+    assert linalg.rank(stacked) == 2
 
 
 def test_doubled_space_built_once():
@@ -336,18 +337,64 @@ def test_doubled_space_built_once():
 
 
 def test_path_validates_each_frame_once(monkeypatch):
-    # Three sample frames per segment (t = 0, 1/2, 1), each built and
-    # validated once; a segment's start is matched against the previous end.
+    # Three integer samples per segment (t = 0, 1/2, 1), each read once and
+    # no frame built; a segment's start is matched against the previous end.
     space = sp.SymplecticSpace.standard(1)
     x_axis = [[poly.pconst(1)], [poly.pzero()]]
     tilt = [[poly.pconst(1)], [poly.poly([0, 1])]]  # from the x-axis to (1, 1)
-    built = []
-    real_frame = sp.frame
-    monkeypatch.setattr(sp, "frame", lambda s, b: built.append(b) or real_frame(s, b))
+    samples, junctions = [], []
+    real_at, real_junction = sp._at, sp._check_junction
+    monkeypatch.setattr(sp, "_at", lambda cols, t: samples.append(t) or real_at(cols, t))
+    monkeypatch.setattr(
+        sp, "_check_junction", lambda e, s: junctions.append(1) or real_junction(e, s)
+    )
+    monkeypatch.setattr(sp, "frame", _forbidden)
     sp.LagrangianPath(space, (x_axis, tilt, sp.constant_poly_matrix([[1], [1]])))
-    assert len(built) == 9
+    assert samples == [Fraction(0), Fraction(1, 2), Fraction(1)] * 3
+    assert len(junctions) == 2
     with pytest.raises(ValueError, match="endpoints"):
         sp.LagrangianPath(space, (tilt, x_axis))
+    with pytest.raises(ValueError, match="dependent"):
+        sp.LagrangianPath(space, ([[poly.poly([0, 1])], [poly.pzero()]],))
+    with pytest.raises(ValueError, match="dim x n"):
+        sp.LagrangianPath(space, ([[poly.pconst(1)]],))
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("re-validation")
+
+
+def test_derived_paths_are_not_revalidated(monkeypatch):
+    # reversed() and concat() build no frame and rerun no isotropy check;
+    # concat checks the one new junction and still refuses a mismatch.
+    rng = random.Random(66)
+    cases = []
+    for trial in range(12):
+        n = 1 + trial % 2
+        space, l1, l2, l3, u1, u2, a = _random_transverse_triple(n, rng)
+        g13 = sp.LagrangianPath(space, (_line_segment(u1, linalg.mat_mul(u2, a)),))
+        g23 = sp.LagrangianPath(
+            space, (_line_segment(u2, linalg.mat_mul(u1, linalg.inverse(a))),)
+        )
+        cases.append((g13, g23))
+    junctions = []
+    real_junction = sp._check_junction
+    monkeypatch.setattr(sp, "_pm_isotropic", _forbidden)
+    monkeypatch.setattr(sp, "frame", _forbidden)
+    monkeypatch.setattr(
+        sp, "_check_junction", lambda e, s: junctions.append(1) or real_junction(e, s)
+    )
+    derived = []
+    for g13, g23 in cases:
+        g12 = g13.concat(g23.reversed())
+        assert len(g12.segments) == 2
+        derived += [g12, g13.reversed(), g12.reversed()]
+        with pytest.raises(ValueError, match="endpoints"):
+            g13.concat(g23)
+    assert len(junctions) == 2 * len(cases)
+    monkeypatch.undo()
+    for path in derived:  # each derived path passes the full validation
+        assert sp.LagrangianPath(path.space, path.segments) == path
 
 
 def test_meyer_closed_form_matches_ternary():
@@ -479,6 +526,80 @@ def test_forged_pool_complement_is_rejected(monkeypatch):
         sp.maslov_index(path, gid)
 
 
+def ref_complement_pool(lam0):
+    """The dual complement and its shears U C + V, each built as a frame."""
+    space = lam0.space
+    v = sp.lagrangian_complement(lam0)
+    n = space.n
+    diag = linalg.zeros(n, n)
+    for i in range(n):
+        diag[i][i] = Fraction(1 if i % 2 == 0 else -1)
+    pool = [v]
+    for c in (linalg.identity(n), linalg.mat_scale(linalg.identity(n), -1),
+              linalg.mat_scale(linalg.identity(n), 2), diag):
+        basis = linalg.mat_add(linalg.mat_mul(lam0.basis_matrix(), c), v.basis_matrix())
+        pool.append(sp.frame(space, basis))
+    return pool
+
+
+def _positive_multiple(a, b) -> bool:
+    """a == c b for an integer matrix a, a rational matrix b and some c > 0."""
+    ref = next((x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb) if y)
+    return ref[0] * ref[1] > 0 and all(
+        x * ref[1] == y * ref[0] for ra, rb in zip(a, b) for x, y in zip(ra, rb)
+    )
+
+
+def test_pool_rows_are_positive_multiples_of_the_frame_pool():
+    # The shear charts read off the dual complement's pairing agree, up to a
+    # positive factor, with the pairings of the shears built as frames, in
+    # dimensions 2, 4 and 8, on the standard form and on (2/3) of it.
+    rng = random.Random(67)
+    for trial in range(45):
+        n = (1, 2, 4)[trial % 3]
+        space = sp.SymplecticSpace.standard(n)
+        if trial % 2:
+            space = sp.SymplecticSpace(
+                tuple(tuple(x * Fraction(2, 3) for x in row) for row in space.form)
+            )
+        psi = _random_symplectic(n, rng)
+        change = [[x / (1 + i % 3) for x in row] for i, row in enumerate(rand_invertible(rng, n))]
+        lam0 = sp.frame(space, linalg.mat_mul([row[:n] for row in psi], change))
+        pool = sp._complement_pool(lam0, sp._pairing(lam0))
+        ref = [sp._pairing(w) for w in ref_complement_pool(lam0)]
+        assert len(pool) == len(ref) == 5
+        for rows, (ref_rows, den) in zip(pool, ref):
+            assert _positive_multiple(rows, [[Fraction(x, den) for x in r] for r in ref_rows])
+
+
+def test_maslov_index_builds_one_complement_plus_the_bespoke_ones(monkeypatch):
+    # perfbench derives the bespoke-complement count as
+    # lagrangian_complement calls - maslov_index calls.
+    counts = {"complement": 0, "bespoke": 0}
+    real_complement, real_bespoke = sp.lagrangian_complement, sp._bespoke_complement
+
+    def complement(lam):
+        counts["complement"] += 1
+        return real_complement(lam)
+
+    def bespoke(*args):
+        counts["bespoke"] += 1
+        return real_bespoke(*args)
+
+    monkeypatch.setattr(sp, "lagrangian_complement", complement)
+    monkeypatch.setattr(sp, "_bespoke_complement", bespoke)
+    rng = random.Random(1)
+    calls = 0
+    for trial in range(30):
+        space, l1, l2, l3, u1, u2, a = _random_transverse_triple(1 + trial % 2, rng)
+        g13 = sp.LagrangianPath(space, (_line_segment(u1, linalg.mat_mul(u2, a)),))
+        for path, ref in ((g13, l2), (g13.reversed(), l3), (g13, l1)):
+            sp.maslov_index(path, ref)
+            calls += 1
+    assert counts["bespoke"] > 0
+    assert counts["complement"] == calls + counts["bespoke"]
+
+
 def test_is_symplectic_matrix_on_the_integer_form():
     rng = random.Random(61)
     for trial in range(60):
@@ -553,7 +674,7 @@ def test_pm_isotropic_matches_fraction_polynomials():
     for w in (random_word(rng, 5, 6), random_word(rng, 7, 4)):
         path = burau.graph_path_of(burau._odd_word(w))
         cases += [(path.space, seg) for seg in path.segment_matrices()]
-    verdicts = [sp._pm_isotropic(seg, space) for space, seg in cases]
+    verdicts = [sp._pm_isotropic(sp._int_columns(seg), space) for space, seg in cases]
     assert verdicts == [ref_pm_isotropic(seg, space) for space, seg in cases]
     assert True in verdicts and False in verdicts
 
@@ -611,7 +732,8 @@ def ref_ternary_index_kernel(l1, l2, l3):
     null = linalg.nullspace(linalg.hstack(linalg.hstack(f1, f2), f3))
     v1s = [linalg.mat_vec(f1, vec[:n]) for vec in null]
     v3s = [linalg.mat_vec(f3, vec[2 * n :]) for vec in null]
-    q = [[space.omega(v1, w3) for w3 in v3s] for v1 in v1s]
+    omega = space.form_matrix()
+    q = [[sum(a * b for a, b in zip(v1, linalg.mat_vec(omega, w3))) for w3 in v3s] for v1 in v1s]
     assert linalg.is_symmetric(q)
     return sp.signature(q)
 
