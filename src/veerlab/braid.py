@@ -8,6 +8,7 @@ across threads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from veerlab import _core
@@ -57,21 +58,37 @@ class BraidWord:
         return cls(strands, ())
 
 
+# A token is an optional sign and ASCII digits.  int() alone would also take
+# "1_0" and non-ASCII digits such as "\u0663"; on ASCII text without "_" it
+# takes exactly the tokens this pattern does.
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def _int_token(token: str) -> int:
+    """``int(token)`` for a signed ASCII decimal token; ValueError names it."""
+    if not _INT_RE.fullmatch(token):
+        raise ValueError(f"token {token!r} is not a signed ASCII decimal integer")
+    return int(token)
+
+
 def parse_braid(text: str, strands: int) -> BraidWord:
     """Parse whitespace-separated signed generator indices.
 
     Whitespace-only text is the identity braid.  Raises ValueError on a
     strand count below 2, checked before any token, and otherwise names the
-    offending token on 0, non-integer tokens, or out-of-range indices.
+    offending token on 0, tokens other than a sign and ASCII digits, or
+    out-of-range indices.  ASCII text without "_" goes to int() as it is;
+    other text has its tokens checked one by one.
     """
     if strands < 2:
         raise ValueError(f"strands must be >= 2, got {strands}")
+    to_int = int if text.isascii() and "_" not in text else _int_token
     letters = []
     for token in text.split():
         try:
-            letter = int(token)
+            letter = to_int(token)
         except ValueError:
-            raise ValueError(f"token {token!r} is not an integer") from None
+            letter = _int_token(token)  # raises, naming the token
         if letter == 0:
             raise ValueError("token '0' is not a valid generator index")
         if abs(letter) > strands - 1:

@@ -32,7 +32,6 @@ from functools import lru_cache
 
 from veerlab import poly, symplectic
 from veerlab.braid import BraidWord, stabilize
-from veerlab.linalg import Matrix
 from veerlab.symplectic import LagrangianPath, PolyMatrix, SymplecticSpace
 
 __all__ = [
@@ -182,10 +181,6 @@ class SymplecticLift:
 
     def segment_matrices(self) -> list[PolyMatrix]:
         return [[[e for e in row] for row in seg] for seg in self.segments]
-
-    def end_matrix(self) -> Matrix:
-        last = self.segment_matrices()[-1]
-        return symplectic.pm_eval(last, Fraction(1))
 
 
 def lift(b: BraidWord) -> SymplecticLift:

@@ -2,8 +2,10 @@
 
 Every subcommand prints one JSON object on stdout.  Rationals are
 serialized as "p/q" strings so no floating point ever appears.  Exit codes:
-0 success, 1 input error, 2 mathematical invariant violation (an identity
-check failed or a sweep found failures); the latter is never swallowed.
+0 success, 1 input error (every integer read, in a word, a matrix, an
+option or VEERLAB_SEED, must be a sign and ASCII digits), 2 mathematical
+invariant violation (an identity check failed or a sweep found failures);
+the latter is never swallowed.
 3 a termination bound was hit: the chart engine's, or the strand bounds
 `burau.MAX_STRANDS` and `burau.MAX_DENSE_STRANDS` (the message names it).
 """
@@ -18,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from veerlab import farey, linkinv, sweeps, symplectic, torus
-from veerlab.braid import BraidWord, linking_number, parse_braid
+from veerlab.braid import BraidWord, _int_token, linking_number, parse_braid
 from veerlab.modular import (
     Classification,
     PSL2Element,
@@ -161,12 +163,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     env_seed = os.environ.get("VEERLAB_SEED")
     if env_seed is not None:
         try:
-            seed = int(env_seed)
+            seed = _int_token(env_seed)
         except ValueError:
             raise _UsageError(f"VEERLAB_SEED must be an integer, got {env_seed!r}") from None
     result = sweeps.run_suite(args.suite, args.count, seed)
     _emit(result)
     return EXIT_OK if result["failures"] == 0 else EXIT_INVARIANT
+
+
+def _int_arg(text: str) -> int:
+    """Integer options take the braid word's tokens: a sign and ASCII digits."""
+    try:
+        return _int_token(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -178,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_word_command(name, help_text, word2=False):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("-n", "--strands", type=int, default=3)
+        p.add_argument("-n", "--strands", type=_int_arg, default=3)
         p.add_argument("word", help="whitespace-separated signed generator indices")
         if word2:
             p.add_argument("word2", help="second braid word")
@@ -191,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_word_command("meyer", "Meyer cocycle of two words", word2=True)
 
     p = sub.add_parser("farey-path", help="turn word of the Farey geodesic")
-    p.add_argument("-n", "--strands", type=int, default=3)
+    p.add_argument("-n", "--strands", type=_int_arg, default=3)
     p.add_argument("word", nargs="?", help="braid word (B_3); \"\" is the identity")
     p.add_argument("--matrix", help="SL(2,Z) matrix as 'a b; c d'")
     p.add_argument("--edges", action="store_true", help="emit the crossed edges")
@@ -201,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run a randomized property suite")
     p.add_argument("--suite", required=True, choices=sorted(sweeps.SUITES))
-    p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=_int_arg, default=1000)
+    p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--json", action="store_true")
     return parser
 

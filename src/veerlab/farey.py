@@ -75,9 +75,6 @@ class FareyEdge:
     def reversed(self) -> "FareyEdge":
         return FareyEdge(self.b, self.a)
 
-    def undirected_eq(self, other: "FareyEdge") -> bool:
-        return {self.a, self.b} == {other.a, other.b}
-
 
 def edge_of(g: PSL2Element) -> FareyEdge:
     """The directed edge of g: columns of its matrix, as slopes."""
@@ -199,31 +196,27 @@ def _family2(w: str) -> tuple[str, str] | None:
 
 
 def _family3(w: str) -> tuple[str, str] | None:
-    """P2 L L P2^-1 L L P1 = P1 W, i.e. XP = PW with X = P2 L L P2^-1 L L."""
+    """P2 L L P2^-1 L L P1 = P1 W, i.e. XP = PW with X = P2 L L P2^-1 L L.
+
+    XP = PW with |X| = |W| is solvable exactly when X is a rotation of W
+    (Lyndon-Schutzenberger), so one scan over the rotations X of W, each
+    read as P2 = X[:k], finds every P2.  Of several, the one with the
+    smallest sum of 2^i over the positions i where P2 has an R is taken.
+    """
     if len(w) < 4 or len(w) % 2 != 0:
         return None
-    p2_len = (len(w) - 4) // 2
-    for bits in range(1 << p2_len):
-        p2 = "".join("LR"[(bits >> i) & 1] for i in range(p2_len))
-        x = p2 + "LL" + invert_turn_word(p2) + "LL"
-        solutions = solve_xp_eq_pw(x, w)
-        if solutions:
-            return solutions[0], p2
-    return None
-
-
-def _family4(w: str) -> tuple[str, str] | None:
-    """P1 L L P2 L L P2^-1 = W P1, i.e. W P1 = P1 Y with Y = L L P2 L L P2^-1."""
-    if len(w) < 4 or len(w) % 2 != 0:
+    k = (len(w) - 4) // 2
+    candidates = set()
+    for j in range(len(w)):
+        x = w[j:] + w[:j]
+        p2 = x[:k]
+        if x == p2 + "LL" + invert_turn_word(p2) + "LL":
+            candidates.add(p2)
+    if not candidates:
         return None
-    p2_len = (len(w) - 4) // 2
-    for bits in range(1 << p2_len):
-        p2 = "".join("LR"[(bits >> i) & 1] for i in range(p2_len))
-        y = "LL" + p2 + "LL" + invert_turn_word(p2)
-        solutions = solve_xp_eq_pw(w, y)
-        if solutions:
-            return solutions[0], p2
-    return None
+    p2 = min(candidates, key=lambda p: p[::-1])
+    x = p2 + "LL" + invert_turn_word(p2) + "LL"
+    return solve_xp_eq_pw(x, w)[0], p2
 
 
 def lk2_nonqp_certificate(w: str) -> Verdict:
@@ -234,6 +227,13 @@ def lk2_nonqp_certificate(w: str) -> Verdict:
     equation family has a solution, so the braid is not a product of two
     positive Dehn twists and hence not quasipositive.  No returns the
     solved family as a counter-certificate; substitution re-verifies it.
+
+    Family 4 (W P1 = P1 Y, Y = L L P2 L L P2^-1) needs no search of its
+    own: Y is a rotation of family 3's X = P2 L L P2^-1 L L, and both
+    equations ask for W to be a rotation of that word, so for each P2
+    family 4 is solvable exactly when family 3 is.  Family 1's
+    L P L L P^-1 L is also a rotation of X with P2 = P; it stays as a
+    direct first test.  The whole decision costs O(|W|^2).
     """
     if set(w) - {"L", "R"}:
         raise ValueError(f"turn word {w!r} has letters outside L/R")
@@ -246,9 +246,6 @@ def lk2_nonqp_certificate(w: str) -> Verdict:
     p12 = _family3(w)
     if p12 is not None:
         return Verdict.no({"family": 3, "P1": p12[0], "P2": p12[1], "W": w})
-    p12 = _family4(w)
-    if p12 is not None:
-        return Verdict.no({"family": 4, "P1": p12[0], "P2": p12[1], "W": w})
     return Verdict.yes(
         {
             "W": w,

@@ -5,7 +5,7 @@ Fraction in and Fraction out: every entry returned is a canonical Fraction,
 exactly the value rational Gaussian elimination gives.  Inside, products
 and eliminations clear denominators (a row, or a column of a right
 factor, is scaled by the lcm of its denominators) and work on Python
-ints: integer dot products for mat_mul and mat_vec, Bareiss elimination
+ints: integer dot products for mat_mul, Bareiss elimination
 for det, and fraction-free Gauss-Jordan with gcd-reduced rows for rank,
 solve, inverse and nullspace.  `particular_solution` and `int_nullspace`
 are the integer-in, integer-out entries: they expose that elimination to
@@ -26,9 +26,7 @@ __all__ = [
     "transpose",
     "mat_mul",
     "mat_add",
-    "mat_sub",
     "mat_scale",
-    "mat_vec",
     "hstack",
     "vstack",
     "det",
@@ -85,22 +83,9 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_scale(a: Matrix, s) -> Matrix:
     s = Fraction(s)
     return [[x * s for x in row] for row in a]
-
-
-def mat_vec(a: Matrix, v: list[Fraction]) -> list[Fraction]:
-    iv, sv = _cleared(v)
-    out = []
-    for row in a:
-        ia, sa = _cleared(row)
-        out.append(Fraction(sum(map(mul, ia, iv)), sa * sv))
-    return out
 
 
 def hstack(a: Matrix, b: Matrix) -> Matrix:

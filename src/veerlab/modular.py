@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from veerlab import _core
-from veerlab.braid import BraidWord
+from veerlab.braid import BraidWord, _int_token
 
 __all__ = [
     "SL2Matrix",
@@ -97,14 +97,11 @@ SIGMA2_BAR = SL2Matrix(1, 1, 0, 1)
 
 
 def parse_matrix(text: str) -> SL2Matrix:
-    """Parse the 'a b; c d' text format."""
-    rows = text.split(";")
-    if len(rows) != 2:
+    """Parse the 'a b; c d' text format; entries are signed ASCII decimals."""
+    rows = [row.split() for row in text.split(";")]
+    if len(rows) != 2 or any(len(row) != 2 for row in rows):
         raise ValueError(f"expected 'a b; c d', got {text!r}")
-    try:
-        (a, b), (c, d) = (tuple(int(t) for t in row.split()) for row in rows)
-    except ValueError:
-        raise ValueError(f"matrix entries in {text!r} are not integers") from None
+    (a, b), (c, d) = ([_int_token(t) for t in row] for row in rows)
     return SL2Matrix(a, b, c, d)
 
 
@@ -128,9 +125,6 @@ class PSL2Element:
 
     def inverse(self) -> "PSL2Element":
         return PSL2Element(self.rep.inverse())
-
-    def is_identity(self) -> bool:
-        return self.rep.entries() == (1, 0, 0, 1)
 
 
 PSL_A = PSL2Element(SL2_A)

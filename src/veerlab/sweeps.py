@@ -51,7 +51,12 @@ def _result(name: str, count: int, seed: int, failures: list) -> dict:
 
 
 def suite_theorem_lk(count: int, seed: int) -> dict:
-    """lk = 12 rot + Phi on random 3-braids of length <= 40."""
+    """lk = 12 rot + Phi on random 3-braids of length <= 40.
+
+    `torus.rot` is (lk - Phi) / 12 by construction, so failures stay 0; a
+    broken decomposition raises from `decompose`'s asserts instead (see
+    `torus.verify_theorem_lk`).
+    """
     rng = random.Random(seed)
     failures = []
     for _ in range(count):

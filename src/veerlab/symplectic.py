@@ -55,7 +55,6 @@ __all__ = [
     "ChartMissError",
     "BoundExceeded",
     "signature",
-    "symmetric_form",
     "chart_coordinates",
     "lagrangian_complement",
     "maslov_index",
@@ -202,13 +201,6 @@ def _integral(m) -> tuple[list[list[int]], int]:
 
 def frame(space: SymplecticSpace, basis: Matrix) -> LagrangianFrame:
     return LagrangianFrame(space, tuple(tuple(row) for row in basis))
-
-
-def symmetric_form(rows) -> Matrix:
-    m = linalg.frac_matrix(rows)
-    if not linalg.is_symmetric(m):
-        raise ValueError("matrix is not symmetric")
-    return m
 
 
 def signature(m: Matrix) -> int:

@@ -135,7 +135,16 @@ def phi(b: BraidWord) -> int:
 
 
 def verify_theorem_lk(b: BraidWord) -> bool:
-    """Check lk = 12 rot + Phi exactly."""
+    """Check lk = 12 rot + Phi exactly.
+
+    The identity holds by construction, so this is not an independent
+    check: `rot` is k / 4 with k = (lk - lk(w)) / 3, and lk(w) is the
+    exponent sum of the normal form, which is Phi.  It can fail only through
+    `decompose`'s parity and reassembly asserts, which raise instead of
+    returning False.  An independent second road would read rot from the
+    exact translation number of the braid's action on the universal cover
+    of the circle of directions, which is not computed yet.
+    """
     return linking_number(b) == 12 * rot(b) + phi(b)
 
 

@@ -32,6 +32,25 @@ def test_parse_errors_name_token(text):
     assert bad in str(err.value)
 
 
+@pytest.mark.parametrize("text, bad", [
+    ("\u0663", "\u0663"), ("1_0", "1_0"), ("1 2 \uff11", "\uff11"), ("+-1", "+-1"),
+    ("1e3", "1e3"), ("1.0", "1.0"), ("2 -", "-"),
+])
+def test_parse_takes_only_ascii_decimal_tokens(text, bad):
+    with pytest.raises(ValueError) as err:
+        parse_braid(text, 12)
+    assert f"token {bad!r} is not a signed ASCII decimal integer" in str(err.value)
+
+
+def test_parse_keeps_whitespace_signs_and_token_order():
+    assert parse_braid("\t+1\n-2  1\u2003", 3).letters == (1, -2, 1)
+    # The first bad token is named, whichever way it is bad.
+    with pytest.raises(ValueError, match="token '3' is out of range"):
+        parse_braid("1 3 x", 3)
+    with pytest.raises(ValueError, match="token 'x' is not"):
+        parse_braid("1 x 3", 3)
+
+
 def test_linking_number():
     assert linking_number(parse_braid("1 2 1", 3)) == 3
     assert linking_number(parse_braid("1 2 1 1 2 1 -1 -1 -1 -1 2 -1 2 -1", 3)) == 2

@@ -243,3 +243,102 @@ def test_parser_is_built_once(capsys):
     parser = cli._parser()
     assert run(capsys, ["signature", "-n", "3", "1 1"])[0] == 0
     assert cli._parser() is parser
+
+
+# lk = 2, rot = 1/2, and no word-equation family solves its 40-letter turn
+# word, so the verdict is QP No from the exhausted families.
+W46 = ("1 2 1 1 2 1 2 2 -1 2 -1 -1 -1 -1 2 2 2 2 2 -1 2 -1 2 -1 -1 -1 -1 2 -1 "
+       "-1 -1 -1 -1 2 2 2 -1 -1 2 2 -1 -1 2 -1 -1 2")
+W46_TURNS = "RRLRLLLLRRRRRLRLRLLLLRLLLLLRRRLLRRLLRLLR"
+W46_QP = {
+    "certificate": {
+        "W": W46_TURNS,
+        "families_checked": [1, 2, 3, 4],
+        "forced_lengths": {"family1_P": 18, "family2_P1_plus_P2": 18, "family34_P2": 18},
+        "obstruction": "lk2_word_equations",
+    },
+    "value": "no",
+}
+
+
+def test_lk2_frontier_on_a_long_turn_word_is_fast(capsys):
+    expected = {
+        "qp-cert": {"lk": 2, "phi": -4, "rot": "1/2", "turn_word": W46_TURNS,
+                    "verdict": W46_QP, "word": W46},
+        "invariants": {
+            "classification": "anosov",
+            "identity_checks": {"dual_engine_signature": True, "rademacher_two_road": True,
+                                "sign_maslov": True, "theorem_lk": True},
+            "lk": 2, "maslov": {"mu": "1", "two_mu": 2}, "phi": -4,
+            "quasipositive": W46_QP,
+            "right_veering": {"certificate": {"rot": "1/2", "type": "anosov"}, "value": "yes"},
+            "rot": "1/2", "signature": {"agree": True, "meyer": 0, "seifert": 0},
+            "strands": 3, "word": W46,
+        },
+    }
+    for command, payload in expected.items():
+        start = time.perf_counter()
+        code = cli.main([command, "-n", "3", W46])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert capsys.readouterr().out == json.dumps(payload, sort_keys=True) + "\n"
+
+
+def _contract_table():
+    from veerlab import burau
+
+    wide, dense = str(burau.MAX_STRANDS + 1), str(burau.MAX_DENSE_STRANDS + 1)
+    bad_tokens = [
+        ["invariants", "-n", "4", "٣"], ["signature", "-n", "4", "1_0"],
+        ["invariants", "-n", "3", "x"], ["invariants", "-n", "3", "1.0"],
+        ["invariants", "-n", "3", "1,2"], ["maslov", "-n", "3", "1 - 2"],
+        ["invariants", "-n", "3", "+-1"], ["invariants", "-n", "3", "1e3"],
+        ["qp-cert", "-n", "3", "１"], ["farey-path", "--matrix", "1 ٠; 0 1"],
+        ["farey-path", "--matrix", "1_0 1; 9 1"], ["invariants", "-n", "٣", "1"],
+        ["sweep", "--suite", "rademacher", "--count", "1_0"],
+        ["sweep", "--suite", "rademacher", "--seed", "٣"],
+    ]
+    out_of_range = [
+        ["invariants", "-n", "3", "0"], ["invariants", "-n", "3", "3"],
+        ["invariants", "-n", "3", "-3"], ["signature", "-n", "5", "1 2 5"],
+        ["meyer", "-n", "3", "1", "4"], ["farey-path", "-n", "3", "3"],
+    ]
+    few_strands = [["invariants", "-n", "1", "1"], ["signature", "-n", "0", ""],
+                   ["maslov", "-n", "-5", "1"]]
+    bad_matrices = [["farey-path", "--matrix", m]
+                    for m in ("2 0; 0 2", "1 1; 1 1", "0 0; 0 0", "1 2 3", "1 2; 3", ";", "")]
+    missing = [[], ["invariants"], ["invariants", "-n"], ["meyer", "-n", "3", "1"], ["sweep"],
+               ["farey-path"], ["nonsense"], ["invariants", "-n", "3", "1", "--bogus"],
+               ["sweep", "--suite", "theorem-lk", "--count", "-1"]]
+    too_wide = [["invariants", "-n", wide, "1"], ["signature", "-n", wide, "1"],
+                ["maslov", "-n", wide, "1"], ["meyer", "-n", dense, "1", "1"],
+                ["invariants", "-n", str(10**30), "1"]]
+    empty = [["invariants", "-n", "3", ""], ["signature", "-n", "5", "   "],
+             ["maslov", "-n", "3", ""], ["meyer", "-n", "3", "", ""], ["qp-cert", "-n", "3", ""],
+             ["farey-path", ""], ["invariants", "-n", "4", ""],
+             ["sweep", "--suite", "theorem-lk", "--count", "0"],
+             # qp-cert decides a positive word without the homology representation.
+             ["qp-cert", "-n", wide, "1"]]
+    groups = [(bad_tokens, 1, "is not a signed ASCII decimal integer"),
+              (out_of_range, 1, "token"), ([["farey-path", "-n", "4", "1"]], 1, "B_3"),
+              (few_strands, 1, "strands must be >= 2"),
+              (bad_matrices, 1, ""), (missing, 1, ""), (too_wide, 3, "strand bound"),
+              (empty, 0, "")]
+    return [(argv, code, needle) for argvs, code, needle in groups for argv in argvs]
+
+
+def test_cli_contract_table(capsys):
+    """Malformed and edge-case argv lists exit 0, 1 or 3 as the cli docstring
+    says, at once, and never with a traceback."""
+    for argv, expected, needle in _contract_table():
+        start = time.perf_counter()
+        code, payload, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == expected, (argv, code, err)
+        assert "Traceback" not in err, argv
+        if expected == 0:
+            assert payload is not None and err == "", argv
+        else:
+            assert payload is None and err.count("\n") == 1, (argv, err)
+            prefix = "bound exceeded: " if expected == 3 else "error: "
+            assert err.startswith(prefix) and needle in err, (argv, err)

@@ -134,7 +134,8 @@ def test_turn_word_rewalk_lands_on_target():
         g = random_psl(rng, 30)
         edges = geodesic_edges(g)
         assert len(edges) == len(turn_word(g)) + 1
-        assert edges[-1].undirected_eq(edge_of(g))
+        target = edge_of(g)
+        assert {edges[-1].a, edges[-1].b} == {target.a, target.b}
         for e1, e2 in zip(edges, edges[1:]):
             assert len({e1.a, e1.b} & {e2.a, e2.b}) == 1
 
@@ -216,6 +217,71 @@ def brute_force_families(w: str) -> dict | None:
                 if p1 + "LL" + p2 + "LL" + invert_turn_word(p2) == w + p1:
                     return {"family": 4, "P1": p1, "P2": p2}
     return None
+
+
+def ref_family3(w: str) -> tuple[str, str] | None:
+    """Family 3 by enumerating every P2 in the order of the binary number
+    with bit i set where P2 has an R."""
+    if len(w) < 4 or len(w) % 2 != 0:
+        return None
+    p2_len = (len(w) - 4) // 2
+    for bits in range(1 << p2_len):
+        p2 = "".join("LR"[(bits >> i) & 1] for i in range(p2_len))
+        x = p2 + "LL" + invert_turn_word(p2) + "LL"
+        solutions = solve_xp_eq_pw(x, w)
+        if solutions:
+            return solutions[0], p2
+    return None
+
+
+def ref_family4(w: str) -> tuple[str, str] | None:
+    """Family 4, W P1 = P1 Y with Y = L L P2 L L P2^-1, by enumeration."""
+    if len(w) < 4 or len(w) % 2 != 0:
+        return None
+    p2_len = (len(w) - 4) // 2
+    for bits in range(1 << p2_len):
+        p2 = "".join("LR"[(bits >> i) & 1] for i in range(p2_len))
+        y = "LL" + p2 + "LL" + invert_turn_word(p2)
+        solutions = solve_xp_eq_pw(w, y)
+        if solutions:
+            return solutions[0], p2
+    return None
+
+
+def ref_certificate(w: str) -> farey.Verdict:
+    """The four families in order, families 3 and 4 by enumeration."""
+    p = farey._family1(w)
+    if p is not None:
+        return farey.Verdict.no({"family": 1, "P": p, "W": w})
+    for family, solve in ((2, farey._family2), (3, ref_family3), (4, ref_family4)):
+        p12 = solve(w)
+        if p12 is not None:
+            return farey.Verdict.no({"family": family, "P1": p12[0], "P2": p12[1], "W": w})
+    k = (len(w) - 4) // 2 if len(w) >= 4 else None
+    return farey.Verdict.yes({
+        "W": w,
+        "families_checked": [1, 2, 3, 4],
+        "forced_lengths": {"family1_P": k, "family2_P1_plus_P2": k, "family34_P2": k},
+    })
+
+
+def test_lk2_certificate_matches_the_enumeration_on_every_short_word():
+    for n in range(0, 13, 2):
+        for bits in itertools.product("LR", repeat=n):
+            w = "".join(bits)
+            assert lk2_nonqp_certificate(w) == ref_certificate(w), w
+            # Families 1 and 4 are rotations of family 3, so neither decides alone.
+            assert (ref_family4(w) is None) == (ref_family3(w) is None), w
+            assert farey._family1(w) is None or farey._family3(w) is not None, w
+
+
+def test_family4_certificates_still_check():
+    w = "RLLLRLLL"
+    p1, p2 = ref_family4(w)
+    cert = farey.Verdict.no({"family": 4, "P1": p1, "P2": p2, "W": w})
+    assert farey.check_lk2_certificate(cert)
+    bad = farey.Verdict.no({"family": 4, "P1": p1, "P2": p2, "W": "RLLLRLLR"})
+    assert not farey.check_lk2_certificate(bad)
 
 
 def test_lk2_certificate_paper_word():

@@ -167,6 +167,11 @@ def test_parse_matrix():
         parse_matrix("1 0; 0 2")
     with pytest.raises(ValueError):
         parse_matrix("1 0 0 1")
+    with pytest.raises(ValueError, match="token '1_0' is not a signed ASCII"):
+        parse_matrix("1_0 1; 9 1")
+    with pytest.raises(ValueError, match="token '\u0661' is not a signed ASCII"):
+        parse_matrix("\u0661 0; 0 1")
+    assert parse_matrix(" +1 0 ;\t-3 1 ") == SL2Matrix(1, 0, -3, 1)
 
 
 def _sign(x: int) -> int:

@@ -8,6 +8,14 @@ from veerlab import symplectic as sp
 from veerlab.sweeps import _random_symplectic, _random_transverse_triple, _line_segment
 
 
+def ref_mat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def ref_mat_vec(a, v):
+    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
+
+
 def rand_invertible(rng, n):
     while True:
         c = [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
@@ -49,8 +57,7 @@ def test_signature_sylvester():
 
 
 def test_symmetric_form_validation():
-    with pytest.raises(ValueError):
-        sp.symmetric_form([[0, 1], [2, 0]])
+    assert not linalg.is_symmetric(linalg.frac_matrix([[0, 1], [2, 0]]))
     with pytest.raises(ValueError):
         sp.signature(linalg.frac_matrix([[0, 1], [2, 0]]))
 
@@ -290,7 +297,7 @@ def test_loop_independence():
         g13 = sp.LagrangianPath(space, (_line_segment(u1, linalg.mat_mul(u2, a)),))
         g23 = sp.LagrangianPath(space, (_line_segment(u2, linalg.mat_mul(u1, a_inv)),))
         closing = sp.LagrangianPath(
-            space, (_line_segment(u2, linalg.mat_sub(u1, u2)),)
+            space, (_line_segment(u2, ref_mat_sub(u1, u2)),)
         )
         loop = g13.concat(g23.reversed()).concat(closing)
         values = set()
@@ -718,8 +725,8 @@ def ref_ternary_index(l1, l2, l3):
         if linalg.rank(z_rows + [z]) > len(z_rows):
             z_rows.append(z)
             chosen.append(vec)
-    vs = [linalg.mat_vec(f3, vec[2 * n :]) for vec in chosen]
-    v2s = [linalg.mat_vec(f2, vec[n : 2 * n]) for vec in chosen]
+    vs = [ref_mat_vec(f3, vec[2 * n :]) for vec in chosen]
+    v2s = [ref_mat_vec(f2, vec[n : 2 * n]) for vec in chosen]
     q = linalg.mat_mul(linalg.mat_mul(v2s, space.form_matrix()), linalg.transpose(vs))
     assert linalg.is_symmetric(q)
     return sp.signature(q)
@@ -730,10 +737,10 @@ def ref_ternary_index_kernel(l1, l2, l3):
     f1, f2, f3 = (f.basis_matrix() for f in (l1, l2, l3))
     n = space.n
     null = linalg.nullspace(linalg.hstack(linalg.hstack(f1, f2), f3))
-    v1s = [linalg.mat_vec(f1, vec[:n]) for vec in null]
-    v3s = [linalg.mat_vec(f3, vec[2 * n :]) for vec in null]
+    v1s = [ref_mat_vec(f1, vec[:n]) for vec in null]
+    v3s = [ref_mat_vec(f3, vec[2 * n :]) for vec in null]
     omega = space.form_matrix()
-    q = [[sum(a * b for a, b in zip(v1, linalg.mat_vec(omega, w3))) for w3 in v3s] for v1 in v1s]
+    q = [[sum(a * b for a, b in zip(v1, ref_mat_vec(omega, w3))) for w3 in v3s] for v1 in v1s]
     assert linalg.is_symmetric(q)
     return sp.signature(q)
 
@@ -756,10 +763,10 @@ def ref_meyer_closed_form(space, g1, g2):
             raise ValueError("matrix does not preserve the form")
     d = space.dim
     ident = linalg.identity(d)
-    b_minus = linalg.mat_sub(g2, ident)
-    w = linalg.nullspace(linalg.hstack(linalg.mat_sub(linalg.inverse(g1), ident), b_minus))
+    b_minus = ref_mat_sub(g2, ident)
+    w = linalg.nullspace(linalg.hstack(ref_mat_sub(linalg.inverse(g1), ident), b_minus))
     left = [[x + y for x, y in zip(v[:d], v[d:])] for v in w]
-    right = [linalg.mat_vec(b_minus, v[d:]) for v in w]
+    right = [ref_mat_vec(b_minus, v[d:]) for v in w]
     q = linalg.mat_mul(linalg.mat_mul(left, space.form_matrix()), linalg.transpose(right))
     assert linalg.is_symmetric(q)
     return -sp.signature(q)

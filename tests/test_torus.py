@@ -80,6 +80,14 @@ def test_theorem_lk():
         assert verify_theorem_lk(random_word(rng, 3, 40))
 
 
+def test_rot_is_lk_minus_phi_over_twelve_by_construction():
+    # theorem-lk checks an identity that rot already builds in.
+    rng = random.Random(5)
+    for _ in range(1500):
+        w = random_word(rng, 3, 40)
+        assert rot(w) == Fraction(linking_number(w) - phi(w), 12)
+
+
 def test_periodic_lift_enumeration():
     # The least right-veering periodic lifts and their matrices.
     a1 = parse_braid("1 2 1", 3)
