@@ -31,71 +31,31 @@ USING_SPEEDUPS = False
 MAX_SYLLABLES = 2_000_000
 _TOO_LONG = "normal form longer than 2e6 syllables"
 
-# Images of sigma_1, sigma_2 and their inverses under B_3 -> SL(2,Z).
-_GEN_IMAGES = {
-    1: (1, 0, -1, 1),
-    2: (1, 1, 0, 1),
-    -1: (1, 0, 1, 1),
-    -2: (1, -1, 0, 1),
-}
-
-
 def word_matrix(letters) -> tuple[int, int, int, int]:
-    """Product of the SL(2,Z) images of a B_3 word, in word order."""
+    """Product of the SL(2,Z) images of a B_3 word, in word order.
+
+    Each generator image is elementary, so right multiplication by it is one
+    column operation: sigma_1 subtracts the second column from the first,
+    sigma_1^-1 adds it, sigma_2 adds the first column to the second and
+    sigma_2^-1 subtracts it.
+    """
     a, b, c, d = 1, 0, 0, 1
     for letter in letters:
-        try:
-            e, f, g, h = _GEN_IMAGES[letter]
-        except KeyError:
+        if letter == 1:
+            a -= b
+            c -= d
+        elif letter == 2:
+            b += a
+            d += c
+        elif letter == -1:
+            a += b
+            c += d
+        elif letter == -2:
+            b -= a
+            d -= c
+        else:
             raise ValueError(f"letter {letter!r} is not in {{1, -1, 2, -2}}")
-        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
     return a, b, c, d
-
-
-def _reduce_letters(letters) -> list[list[int]]:
-    """Reduce a word over {A, B, B^-1} in Z/2 * Z/3 to alternating syllables.
-
-    Letters are ints: 0 for A, +1/-1 for B/B^-1.  Returns a list of
-    ``[kind, exp]`` syllables with kind 0 = A and kind 1 = B^exp.
-    """
-    sylls: list[list[int]] = []
-    for letter in letters:
-        kind = 0 if letter == 0 else 1
-        if sylls and sylls[-1][0] == kind:
-            if kind == 0:
-                sylls.pop()
-            else:
-                e = sylls[-1][1] + letter
-                e = (e + 1) % 3 - 1
-                if e == 0:
-                    sylls.pop()
-                else:
-                    sylls[-1][1] = e
-        else:
-            sylls.append([kind, letter])
-    return sylls
-
-
-def _sylls_to_exponents(sylls) -> list[int]:
-    """Convert alternating syllables to the B-exponent encoding."""
-    if not sylls:
-        return []
-    exponents: list[int] = []
-    i = 0
-    if sylls[0][0] == 1:
-        exponents.append(sylls[0][1])
-        i = 1
-    else:
-        exponents.append(0)
-    while i < len(sylls):
-        # Invariant: sylls[i] is an A syllable.
-        if i + 1 < len(sylls):
-            exponents.append(sylls[i + 1][1])
-            i += 2
-        else:
-            exponents.append(0)
-            i += 1
-    return exponents
 
 
 def _euclid(a: int, b: int, c: int, d: int) -> tuple[list[int], int]:
@@ -144,7 +104,24 @@ def nf_exponents(a: int, b: int, c: int, d: int) -> list[int]:
         letters.extend((1, 0) * t_last)
     elif t_last < 0:
         letters.extend((0, -1) * (-t_last))
-    return _sylls_to_exponents(_reduce_letters(letters))
+    # Reduce in Z/2 * Z/3 on a stack of syllables, 0 for A and +-1 for
+    # B^+-1: A A and B^e B^-e cancel, and B^e B^e is B^-e.
+    stack: list[int] = []
+    for letter in letters:
+        if stack and (stack[-1] == 0) == (letter == 0):
+            if letter and stack[-1] == letter:
+                stack[-1] = -letter
+            else:
+                stack.pop()
+        else:
+            stack.append(letter)
+    # The syllables alternate; an A at either end gets an empty B-power
+    # beside it, and then the B-powers are every other entry.
+    if stack and stack[0] == 0:
+        stack.insert(0, 0)
+    if stack and stack[-1] == 0:
+        stack.append(0)
+    return stack[::2]
 
 
 def _det(xq: int, xp: int, yq: int, yp: int) -> int:

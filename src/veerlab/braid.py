@@ -58,6 +58,15 @@ class BraidWord:
         return cls(strands, ())
 
 
+def _word(strands: int, letters: tuple[int, ...]) -> BraidWord:
+    """A BraidWord from a tuple of letters already valid for ``strands``,
+    built without the per-letter check; for callers that derive the letters
+    from valid words."""
+    w = object.__new__(BraidWord)
+    w.__dict__.update(strands=strands, letters=letters)
+    return w
+
+
 # A token is an optional sign and ASCII digits.  int() alone would also take
 # "1_0" and non-ASCII digits such as "\u0663"; on ASCII text without "_" it
 # takes exactly the tokens this pattern does.
@@ -65,10 +74,21 @@ _INT_RE = re.compile(r"[+-]?[0-9]+")
 
 
 def _int_token(token: str) -> int:
-    """``int(token)`` for a signed ASCII decimal token; ValueError names it."""
+    """``int(token)`` for a signed ASCII decimal token; ValueError names it,
+    cut to 20 characters."""
     if not _INT_RE.fullmatch(token):
-        raise ValueError(f"token {token!r} is not a signed ASCII decimal integer")
-    return int(token)
+        raise ValueError(f"token {_cut(token)!r} is not a signed ASCII decimal integer")
+    try:
+        return int(token)
+    except ValueError:  # more digits than int() converts (4300 by default)
+        raise ValueError(
+            f"token {_cut(token)!r} ({len(token)} characters) is out of range: "
+            "too long to read as an integer"
+        ) from None
+
+
+def _cut(token: str) -> str:
+    return token if len(token) <= 20 else token[:20] + "..."
 
 
 def parse_braid(text: str, strands: int) -> BraidWord:
@@ -102,7 +122,8 @@ def parse_braid(text: str, strands: int) -> BraidWord:
 
 def linking_number(b: BraidWord) -> int:
     """Exponent sum of the word, the unique homomorphism B_n -> Z."""
-    return sum(1 if letter > 0 else -1 for letter in b.letters)
+    letters = b.letters
+    return 2 * sum(1 for letter in letters if letter > 0) - len(letters)
 
 
 def free_reduce(b: BraidWord) -> BraidWord:
@@ -113,35 +134,35 @@ def free_reduce(b: BraidWord) -> BraidWord:
             stack.pop()
         else:
             stack.append(letter)
-    return BraidWord(b.strands, tuple(stack))
+    return _word(b.strands, tuple(stack))
 
 
 def invert(b: BraidWord) -> BraidWord:
-    return BraidWord(b.strands, tuple(-letter for letter in reversed(b.letters)))
+    return _word(b.strands, tuple(-letter for letter in reversed(b.letters)))
 
 
 def concat(a: BraidWord, b: BraidWord) -> BraidWord:
     if a.strands != b.strands:
         raise ValueError(f"strand mismatch: {a.strands} vs {b.strands}")
-    return BraidWord(a.strands, a.letters + b.letters)
+    return _word(a.strands, a.letters + b.letters)
 
 
 def conjugate(b: BraidWord, g: BraidWord) -> BraidWord:
     """The word g b g^-1."""
     if b.strands != g.strands:
         raise ValueError(f"strand mismatch: {b.strands} vs {g.strands}")
-    return BraidWord(b.strands, g.letters + b.letters + invert(g).letters)
+    return _word(b.strands, g.letters + b.letters + invert(g).letters)
 
 
 def stabilize(b: BraidWord) -> BraidWord:
     """The same letters read in B_{strands+1} (add a trivial strand)."""
-    return BraidWord(b.strands + 1, b.letters)
+    return _word(b.strands + 1, b.letters)
 
 
 def power(b: BraidWord, n: int) -> BraidWord:
     if n >= 0:
-        return BraidWord(b.strands, b.letters * n)
-    return BraidWord(b.strands, invert(b).letters * (-n))
+        return _word(b.strands, b.letters * n)
+    return _word(b.strands, invert(b).letters * (-n))
 
 
 def braid3_equal(a: BraidWord, b: BraidWord) -> bool:

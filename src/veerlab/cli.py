@@ -71,10 +71,11 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     }
     checks: dict[str, bool] = {}
     if b.strands == 3:
-        g = PSL2Element(project_b3(b))
+        m = project_b3(b)
+        g = PSL2Element(m)
         report["rot"] = _frac_str(torus.rot(b))
         report["phi"] = torus.phi(b)
-        report["classification"] = classify(project_b3(b)).value
+        report["classification"] = classify(m).value
         report["right_veering"] = torus.right_veering(b).as_json()
         checks["theorem_lk"] = torus.verify_theorem_lk(b)
         checks["rademacher_two_road"] = rademacher(g) == farey.rademacher_turns(g)
@@ -151,9 +152,9 @@ def cmd_qp_cert(args: argparse.Namespace) -> int:
     if b.strands == 3:
         payload["rot"] = _frac_str(torus.rot(b))
         payload["phi"] = torus.phi(b)
-        g = PSL2Element(project_b3(b))
-        if classify(project_b3(b)) is not Classification.PERIODIC:
-            payload["turn_word"] = farey.turn_word(g)
+        m = project_b3(b)
+        if classify(m) is not Classification.PERIODIC:
+            payload["turn_word"] = farey.turn_word(PSL2Element(m))
     _emit(payload)
     return EXIT_OK
 

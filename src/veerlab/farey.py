@@ -260,22 +260,27 @@ def lk2_nonqp_certificate(w: str) -> Verdict:
 
 
 def check_lk2_certificate(verdict: Verdict) -> bool:
-    """Re-verify a No certificate by direct substitution."""
+    """Re-verify a No certificate by direct substitution.
+
+    A certificate made elsewhere that names no family 1-4, or lacks one of
+    its family's words or holds one that is not a string over L and R, is
+    False, not an error.
+    """
     cert = verdict.certificate
-    if verdict.value != "no" or cert is None:
+    if verdict.value != "no" or not isinstance(cert, dict):
         return False
-    w = cert["W"]
-    family = cert["family"]
+    family = cert.get("family")
+    if family not in (1, 2, 3, 4):
+        return False
+    words = [cert.get(key) for key in (("W", "P") if family == 1 else ("W", "P1", "P2"))]
+    if not all(isinstance(x, str) and not x.strip("LR") for x in words):
+        return False
     if family == 1:
-        p = cert["P"]
+        w, p = words
         return "L" + p + "LL" + invert_turn_word(p) + "L" == w
+    w, p1, p2 = words
     if family == 2:
-        p1, p2 = cert["P1"], cert["P2"]
         return p1 + "LL" + invert_turn_word(p1) + p2 + "LL" + invert_turn_word(p2) == w
     if family == 3:
-        p1, p2 = cert["P1"], cert["P2"]
         return p2 + "LL" + invert_turn_word(p2) + "LL" + p1 == p1 + w
-    if family == 4:
-        p1, p2 = cert["P1"], cert["P2"]
-        return p1 + "LL" + p2 + "LL" + invert_turn_word(p2) == w + p1
-    return False
+    return p1 + "LL" + p2 + "LL" + invert_turn_word(p2) == w + p1

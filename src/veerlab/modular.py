@@ -53,8 +53,10 @@ class SL2Matrix:
         if self.a * self.d - self.b * self.c != 1:
             raise ValueError(f"determinant of {self} is not 1")
 
+    # Products, inverses and negatives of determinant-one matrices have
+    # determinant one, so these three build their results unchecked.
     def __mul__(self, other: "SL2Matrix") -> "SL2Matrix":
-        return SL2Matrix(
+        return _sl2(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
@@ -62,10 +64,10 @@ class SL2Matrix:
         )
 
     def inverse(self) -> "SL2Matrix":
-        return SL2Matrix(self.d, -self.b, -self.c, self.a)
+        return _sl2(self.d, -self.b, -self.c, self.a)
 
     def neg(self) -> "SL2Matrix":
-        return SL2Matrix(-self.a, -self.b, -self.c, -self.d)
+        return _sl2(-self.a, -self.b, -self.c, -self.d)
 
     @property
     def trace(self) -> int:
@@ -87,6 +89,13 @@ class SL2Matrix:
     @classmethod
     def identity(cls) -> "SL2Matrix":
         return SL2_ID
+
+
+def _sl2(a: int, b: int, c: int, d: int) -> SL2Matrix:
+    """An SL2Matrix from entries already known to have determinant 1."""
+    m = object.__new__(SL2Matrix)
+    m.__dict__.update(a=a, b=b, c=c, d=d)
+    return m
 
 
 SL2_ID = SL2Matrix(1, 0, 0, 1)
@@ -167,7 +176,7 @@ def project_b3(b: BraidWord) -> SL2Matrix:
     """Image of a B_3 word under sigma_i -> sigma_i-bar, in word order."""
     if b.strands != 3:
         raise ValueError("project_b3 needs a word in B_3")
-    return SL2Matrix(*_core.word_matrix(b.letters))
+    return _sl2(*_core.word_matrix(b.letters))
 
 
 def classify(m: SL2Matrix) -> Classification:

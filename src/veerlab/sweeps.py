@@ -31,13 +31,13 @@ def random_word(rng: random.Random, strands: int, max_len: int) -> BraidWord:
 
 
 def random_psl(rng: random.Random, max_len: int) -> PSL2Element:
-    a = SL2Matrix(0, 1, -1, 0)
-    b = SL2Matrix(1, -1, 1, 0)
-    choices = [a, b, b.inverse()]
-    m = SL2Matrix(1, 0, 0, 1)
+    """A random word of up to ``max_len`` letters in A, B and B^-1."""
+    choices = [(0, 1, -1, 0), (1, -1, 1, 0), (0, 1, -1, 1)]
+    a, b, c, d = 1, 0, 0, 1
     for _ in range(rng.randrange(0, max_len + 1)):
-        m = m * rng.choice(choices)
-    return PSL2Element(m)
+        e, f, g, h = rng.choice(choices)
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    return PSL2Element(SL2Matrix(a, b, c, d))
 
 
 def _result(name: str, count: int, seed: int, failures: list) -> dict:

@@ -21,9 +21,10 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from veerlab import farey
+from veerlab import _core, farey
 from veerlab.braid import (
     BraidWord,
+    _word,
     braid3_equal,
     concat,
     conjugate,
@@ -90,8 +91,7 @@ def decompose(b: BraidWord) -> TorusDecomposition:
     cases 3 and 4 give w over {sigma_1, sigma_2^-1} (k odd resp. even).
     """
     _require_b3(b)
-    g = PSL2Element(project_b3(b))
-    r = normal_form(g).exponents
+    r = _core.nf_exponents(*_core.word_matrix(b.letters))
     if not r:
         case, w_letters = 1, []
     elif r[0] != 0 and r[-1] == 0:
@@ -110,7 +110,7 @@ def decompose(b: BraidWord) -> TorusDecomposition:
         # (A B^r)^m: case 4.
         case = 4
         w_letters = [1 if e == 1 else -2 for e in r[1:]]
-    w = BraidWord(3, tuple(w_letters))
+    w = _word(3, tuple(w_letters))
     lk_diff = linking_number(b) - linking_number(w)
     if lk_diff % 3 != 0:
         raise AssertionError(f"decomposition failed for {b}: lk gap {lk_diff}")
@@ -131,7 +131,7 @@ def rot(b: BraidWord) -> Fraction:
 def phi(b: BraidWord) -> int:
     """Rademacher function of the PSL(2,Z) image."""
     _require_b3(b)
-    return rademacher(PSL2Element(project_b3(b)))
+    return sum(_core.nf_exponents(*_core.word_matrix(b.letters)))
 
 
 def verify_theorem_lk(b: BraidWord) -> bool:

@@ -111,3 +111,29 @@ def test_braid3_equal_is_equivalence_and_invariant():
             3, w.letters[:spot] + (1, 2, 1, -2, -1, -2) + w.letters[spot:]
         )
         assert braid3_equal(w, inserted)
+
+
+def test_constructor_and_parser_still_check_every_letter():
+    with pytest.raises(ValueError, match="not a generator index for B_3"):
+        BraidWord(3, (3,))
+    with pytest.raises(ValueError, match="not a generator index"):
+        BraidWord(4, (1, 0))
+    with pytest.raises(ValueError, match="out of range for B_3"):
+        parse_braid("3", 3)
+
+
+def test_derived_words_equal_their_checked_construction():
+    rng = random.Random(5)
+    gens = [1, -1, 2, -2, 3, -3]
+    for _ in range(200):
+        a = BraidWord(4, tuple(rng.choice(gens) for _ in range(rng.randrange(0, 12))))
+        g = BraidWord(4, tuple(rng.choice(gens) for _ in range(rng.randrange(0, 6))))
+        n = rng.randrange(-3, 4)
+        derived = [concat(a, g), invert(a), power(a, n), conjugate(a, g),
+                   free_reduce(a), stabilize(a)]
+        for word in derived:
+            checked = BraidWord(word.strands, word.letters)
+            assert type(word.letters) is tuple
+            assert word == checked and hash(word) == hash(checked)
+            assert str(word) == str(checked) and len(word) == len(checked)
+        assert linking_number(a) == sum(1 if x > 0 else -1 for x in a.letters)

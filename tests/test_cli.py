@@ -313,6 +313,11 @@ def _contract_table():
     too_wide = [["invariants", "-n", wide, "1"], ["signature", "-n", wide, "1"],
                 ["maslov", "-n", wide, "1"], ["meyer", "-n", dense, "1", "1"],
                 ["invariants", "-n", str(10**30), "1"]]
+    # Past int()'s 4300-digit limit: named, cut short, and out of range.
+    too_long = [["invariants", "-n", "3", "1" * 5000], ["qp-cert", "-n", "3", "1 -" + "2" * 4999],
+                ["sweep", "--suite", "rademacher", "--seed", "1" * 5000],
+                ["farey-path", "--matrix", "1 " + "1" * 5000 + "; 0 1"],
+                ["invariants", "-n", "1" * 5000, "1"]]
     empty = [["invariants", "-n", "3", ""], ["signature", "-n", "5", "   "],
              ["maslov", "-n", "3", ""], ["meyer", "-n", "3", "", ""], ["qp-cert", "-n", "3", ""],
              ["farey-path", ""], ["invariants", "-n", "4", ""],
@@ -322,6 +327,7 @@ def _contract_table():
     groups = [(bad_tokens, 1, "is not a signed ASCII decimal integer"),
               (out_of_range, 1, "token"), ([["farey-path", "-n", "4", "1"]], 1, "B_3"),
               (few_strands, 1, "strands must be >= 2"),
+              (too_long, 1, "...' (5000 characters) is out of range: too long"),
               (bad_matrices, 1, ""), (missing, 1, ""), (too_wide, 3, "strand bound"),
               (empty, 0, "")]
     return [(argv, code, needle) for argvs, code, needle in groups for argv in argvs]

@@ -319,3 +319,27 @@ def test_lk2_certificate_matches_brute_force():
 def test_lk2_certificate_rejects_bad_letters():
     with pytest.raises(ValueError):
         lk2_nonqp_certificate("LX")
+
+
+@pytest.mark.parametrize("payload, valid", [
+    ({"family": 1, "P": "R", "W": "LRLLLL"}, True),
+    ({"family": 2, "P1": "R", "P2": "", "W": "RLLLLL"}, True),
+    ({"family": 3, "P1": "LLLR", "P2": "L", "W": "LLLLLR"}, True),
+    ({"family": 4, "P1": ref_family4("RLLLRLLL")[0], "P2": ref_family4("RLLLRLLL")[1],
+      "W": "RLLLRLLL"}, True),
+    ({"family": 1, "P": "R", "W": "LRLLLR"}, False),
+    ({"family": 3}, False),
+    ({}, False),
+    ({"family": 1, "W": "LRLLLL"}, False),
+    ({"family": 2, "P1": "R", "W": "RLLLLL"}, False),
+    ({"family": 3, "P1": 1, "P2": "", "W": "LLLL"}, False),
+    ({"family": 4, "P1": "", "P2": None, "W": "LLLL"}, False),
+    ({"family": 1, "P": "X", "W": "LXLLLL"}, False),
+    ({"family": 1, "P": "R", "W": ["L"]}, False),
+    ({"family": 5, "P1": "", "P2": "", "W": "LLLL"}, False),
+    ({"family": "1", "P": "R", "W": "LRLLLL"}, False),
+    ({"family": [1], "P": "R", "W": "LRLLLL"}, False),
+])
+def test_check_lk2_certificate_table(payload, valid):
+    assert farey.check_lk2_certificate(farey.Verdict.no(payload)) is valid
+    assert not farey.check_lk2_certificate(farey.Verdict.yes(payload))

@@ -212,3 +212,37 @@ def test_rademacher_class_is_the_closed_form_psi():
         assert rademacher_class(g) == _rademacher_psi(*g.rep.entries()), g.rep
         checked += 1
     assert checked > 1500
+
+
+def ref_random_psl(rng, max_len):
+    """``sweeps.random_psl`` as a product of checked SL2Matrix objects."""
+    a = SL2Matrix(0, 1, -1, 0)
+    b = SL2Matrix(1, -1, 1, 0)
+    choices = [a, b, b.inverse()]
+    m = SL2Matrix(1, 0, 0, 1)
+    for _ in range(rng.randrange(0, max_len + 1)):
+        m = m * rng.choice(choices)
+    return PSL2Element(m)
+
+
+def test_random_psl_matches_the_matrix_product():
+    for seed in range(500):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        assert random_psl(rng, 60) == ref_random_psl(ref_rng, 60)
+        assert rng.random() == ref_rng.random()  # the same draws were made
+
+
+def test_derived_matrices_equal_their_checked_construction():
+    with pytest.raises(ValueError, match="determinant"):
+        SL2Matrix(2, 0, 0, 1)
+    with pytest.raises(ValueError, match="determinant"):
+        parse_matrix("2 0; 0 1")
+    rng = random.Random(9)
+    for _ in range(200):
+        m, n = random_psl(rng, 30).rep, random_psl(rng, 30).rep
+        for derived in (m * n, m.inverse(), m.neg(), m ** 3, m ** -2):
+            checked = SL2Matrix(*derived.entries())
+            assert derived == checked and hash(derived) == hash(checked)
+            assert isinstance(derived, SL2Matrix) and str(derived) == str(checked)
+    b = parse_braid("1 -2 1 1 2", 3)
+    assert project_b3(b) == SL2Matrix(*project_b3(b).entries())

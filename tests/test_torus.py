@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from veerlab import _core, modular, torus
 from veerlab.braid import (
     BraidWord,
     braid3_equal,
@@ -288,3 +289,32 @@ def test_strands_guard():
         rot(parse_braid("1", 4))
     with pytest.raises(ValueError):
         right_veering(parse_braid("1", 4))
+
+
+def test_decompose_and_phi_make_only_their_kernel_calls(monkeypatch):
+    """decompose: one normal form and three products (the projection and the
+    two inside the reassembly check); phi: one of each.  Neither builds a
+    matrix or normal-form object through modular."""
+    calls = {"word_matrix": 0, "nf_exponents": 0}
+    for name in calls:
+        kernel = getattr(_core, name)
+
+        def counted(*args, _kernel=kernel, _name=name):
+            calls[_name] += 1
+            return _kernel(*args)
+
+        monkeypatch.setattr(_core, name, counted)
+
+    def forbidden(*args):
+        raise AssertionError("modular wrapper called on the B_3 path")
+
+    for name in ("project_b3", "normal_form", "rademacher"):
+        monkeypatch.setattr(modular, name, forbidden)
+        monkeypatch.setattr(torus, name, forbidden)
+    rng = random.Random(12)
+    for _ in range(50):
+        b = random_word(rng, 3, 40)
+        for fn, expected in ((decompose, (3, 1)), (phi, (1, 1))):
+            calls.update(word_matrix=0, nf_exponents=0)
+            fn(b)
+            assert (calls["word_matrix"], calls["nf_exponents"]) == expected, fn
