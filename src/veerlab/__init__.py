@@ -53,6 +53,7 @@ from veerlab.torus import (
     rot,
     verify_theorem_lk,
 )
+from veerlab.linalg import signature
 from veerlab.symplectic import (
     LagrangianFrame,
     LagrangianPath,
@@ -60,7 +61,6 @@ from veerlab.symplectic import (
     chart_coordinates,
     maslov_index,
     meyer,
-    signature,
     ternary_index,
 )
 from veerlab.burau import burau_matrix, embed_even, lift

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from veerlab import poly, symplectic
+from veerlab import poly, symplectic, verdict
 from veerlab.braid import BraidWord, stabilize
 from veerlab.symplectic import LagrangianPath, PolyMatrix, SymplecticSpace
 
@@ -92,13 +92,13 @@ def homology_rep(strands: int) -> HomologyRep:
     T v = v - s omega(v, C) C is symplectic,
     omega(T u, T v) = omega(u, v) - s omega(u, C) omega(C, v)
     - s omega(v, C) omega(u, C) = omega(u, v), and T_C^s T_C^-s = I.
-    Strand counts above MAX_STRANDS raise `symplectic.BoundExceeded`
+    Strand counts above MAX_STRANDS raise `verdict.BoundExceeded`
     before anything is allocated.
     """
     if strands % 2 == 0 or strands < 3:
         raise ValueError("homology representation needs odd strands >= 3")
     if strands > MAX_STRANDS:
-        raise symplectic.BoundExceeded(
+        raise verdict.BoundExceeded(
             f"strand bound MAX_STRANDS = {MAX_STRANDS} exceeded ({strands} strands)"
         )
     return HomologyRep(strands, intersection_form((strands - 1) // 2))
@@ -107,10 +107,10 @@ def homology_rep(strands: int) -> HomologyRep:
 @lru_cache(maxsize=None)
 def symplectic_space(strands: int) -> SymplecticSpace:
     """The homology space of B_strands, built and validated once per count.
-    Strand counts above MAX_DENSE_STRANDS raise `symplectic.BoundExceeded`
+    Strand counts above MAX_DENSE_STRANDS raise `verdict.BoundExceeded`
     before anything is allocated."""
     if strands > MAX_DENSE_STRANDS:
-        raise symplectic.BoundExceeded(
+        raise verdict.BoundExceeded(
             f"dense strand bound MAX_DENSE_STRANDS = {MAX_DENSE_STRANDS} exceeded "
             f"({strands} strands)"
         )

@@ -5,8 +5,8 @@ serialized as "p/q" strings so no floating point ever appears.  Exit codes:
 0 success, 1 input error (every integer read, in a word, a matrix, an
 option or VEERLAB_SEED, must be a sign and ASCII digits), 2 mathematical
 invariant violation (an identity check failed or a sweep found failures);
-the latter is never swallowed.
-3 a termination bound was hit: the chart engine's, or the strand bounds
+the latter is never swallowed.  3 a termination bound was hit
+(`verdict.BoundExceeded`): the chart engine's, or the strand bounds
 `burau.MAX_STRANDS` and `burau.MAX_DENSE_STRANDS` (the message names it).
 """
 
@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from veerlab import farey, linkinv, sweeps, symplectic, torus
-from veerlab.braid import BraidWord, _int_token, linking_number, parse_braid
+from veerlab.braid import _INT_RE, BraidWord, _cut, _int_token, linking_number, parse_braid
 from veerlab.modular import (
     Classification,
     PSL2Element,
@@ -29,6 +29,7 @@ from veerlab.modular import (
     project_b3,
     rademacher,
 )
+from veerlab.verdict import BoundExceeded
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -166,7 +167,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         try:
             seed = _int_token(env_seed)
         except ValueError:
-            raise _UsageError(f"VEERLAB_SEED must be an integer, got {env_seed!r}") from None
+            problem = (f"is out of range ({len(env_seed)} characters)"
+                       if _INT_RE.fullmatch(env_seed) else "must be an integer")
+            raise _UsageError(f"VEERLAB_SEED {problem}, got {_cut(env_seed)!r}") from None
     result = sweeps.run_suite(args.suite, args.count, seed)
     _emit(result)
     return EXIT_OK if result["failures"] == 0 else EXIT_INVARIANT
@@ -238,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
     except AssertionError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except symplectic.BoundExceeded as exc:
+    except BoundExceeded as exc:
         print(f"bound exceeded: {exc}", file=sys.stderr)
         return EXIT_BOUND
 

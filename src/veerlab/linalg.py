@@ -1,20 +1,22 @@
-"""Exact linear algebra over the rationals, computed on integers.
+"""Exact linear algebra over the rationals, computed on integers: the one
+home of the exact kernels of the default engines and the cross-checks.
 
-Matrices are lists of row lists with Fraction entries.  The contract is
-Fraction in and Fraction out: every entry returned is a canonical Fraction,
-exactly the value rational Gaussian elimination gives.  Inside, products
-and eliminations clear denominators (a row, or a column of a right
-factor, is scaled by the lcm of its denominators) and work on Python
-ints: integer dot products for mat_mul, Bareiss elimination
-for det, and fraction-free Gauss-Jordan with gcd-reduced rows for rank,
-solve, inverse and nullspace.  `particular_solution` and `int_nullspace`
-are the integer-in, integer-out entries: they expose that elimination to
-callers whose data are integral, so they never build a Fraction.  No
-floating point is used anywhere.
+mat_mul, det, rank, solve, inverse and nullspace take Fraction matrices
+(lists of row lists) and return canonical Fractions, exactly what rational
+Gaussian elimination gives.  Inside, they clear denominators (a row, or a
+column of a right factor, scaled by the lcm of its denominators) and work
+on ints: dot products, Bareiss elimination for det, and fraction-free
+Gauss-Jordan with gcd-reduced rows (`echelon`) for the rest.  The integer
+entries make no Fraction: `echelon`, `int_mul`, `back_substitution` (read
+by `particular_solution`, `int_nullspace` and `linkinv`'s crossing counts)
+and `signature`, which clears a Fraction matrix once (`cleared_matrix`)
+and takes ints as they are.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter, mul
@@ -29,13 +31,18 @@ __all__ = [
     "mat_scale",
     "hstack",
     "vstack",
+    "int_mul",
+    "cleared_matrix",
+    "echelon",
     "det",
     "rank",
     "solve",
     "inverse",
     "nullspace",
+    "back_substitution",
     "particular_solution",
     "int_nullspace",
+    "signature",
     "is_symmetric",
     "is_skew",
 ]
@@ -96,7 +103,22 @@ def vstack(a: Matrix, b: Matrix) -> Matrix:
     return [list(r) for r in a] + [list(r) for r in b]
 
 
-def _echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+def int_mul(a, b) -> list[list[int]]:
+    """The product of two integer matrices."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def cleared_matrix(m) -> tuple[list[list[int]], int]:
+    """(M, s) with m == M / s: M an int matrix, s > 0 one scale for all
+    entries.  An all-int m is returned as it is, with s = 1."""
+    if set(map(type, itertools.chain.from_iterable(m))) <= {int}:
+        return m, 1
+    s = lcm(*[x.denominator for row in m for x in row])
+    return [[x.numerator * (s // x.denominator) for x in row] for row in m], s
+
+
+def echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     """Fraction-free Gauss-Jordan of an integer matrix; returns (rows, pivot
     columns).
 
@@ -104,7 +126,7 @@ def _echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     m's own row lists).  Rows the elimination rewrites are gcd-reduced.
     Row r < len(pivots) divided by its entry in column pivots[r] is row r
     of the reduced row echelon form; the remaining rows are zero.  Callers
-    with Fraction rows clear them first (`_cleared`).
+    with Fraction rows clear them first (`_cleared`, `cleared_matrix`).
     """
     rows = list(m)
     nrows = len(rows)
@@ -132,7 +154,7 @@ def _echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
 
 
 def rank(m: Matrix) -> int:
-    return len(_echelon([_cleared(row)[0] for row in m])[1])
+    return len(echelon([_cleared(row)[0] for row in m])[1])
 
 
 def det(m: Matrix) -> Fraction:
@@ -165,7 +187,7 @@ def det(m: Matrix) -> Fraction:
 def solve(a: Matrix, b: Matrix) -> Matrix:
     """Solve a X = b for square invertible a (b may have many columns)."""
     n = len(a)
-    rows, pivots = _echelon([_cleared(ra + rb)[0] for ra, rb in zip(a, b)])
+    rows, pivots = echelon([_cleared(ra + rb)[0] for ra, rb in zip(a, b)])
     if len(pivots) < n or pivots[-1] >= n:
         raise ValueError("matrix is singular")
     return [[Fraction(x, row[c]) for x in row[n:]] for row, c in zip(rows, pivots)]
@@ -179,7 +201,7 @@ def nullspace(m: Matrix) -> list[list[Fraction]]:
     """Basis of the right kernel."""
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    ech, pivots = _echelon([_cleared(row)[0] for row in m])
+    ech, pivots = echelon([_cleared(row)[0] for row in m])
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for fc in free:
@@ -191,43 +213,124 @@ def nullspace(m: Matrix) -> list[list[Fraction]]:
     return basis
 
 
-def particular_solution(a, b) -> tuple[list[int], int] | None:
-    """One solution of a x = b for an integer matrix a and integer vector b.
-
-    Returns (x, den) with a (x / den) = b, den > 0 and the free variables
-    zero, or None when the system is inconsistent.  One fraction-free
-    Gauss-Jordan of [a | b]; no Fraction is made.
-    """
+def back_substitution(a, b) -> tuple[int, list[int] | None, Iterator[list[int]], int]:
+    """(rank a, x, kernel, den) from one `echelon` of [a | b] (integer a
+    and b), den > 0 the lcm of a's pivots.  x / den solves a x = b with the
+    free variables zero (x_p = row[b] den / row[p]), or x is None when a
+    pivot falls in column b.  The generator kernel yields den times each
+    `nullspace` vector of a (den at its free column f, -row[f] den / row[p]
+    at each pivot p); a caller that reads only x builds no kernel vector."""
     cols = len(a[0]) if a else 0
-    rows, pivots = _echelon([list(row) + [bi] for row, bi in zip(a, b)])
-    if pivots and pivots[-1] == cols:
-        return None
-    den = lcm(*(row[c] for row, c in zip(rows, pivots)))
-    x = [0] * cols
-    for row, c in zip(rows, pivots):
-        x[c] = row[cols] * (den // row[c])
-    return x, den
+    rows, pivots = echelon([[*row, bi] for row, bi in zip(a, b)])
+    basis = [(row, p) for row, p in zip(rows, pivots) if p < cols]
+    den = lcm(*(row[p] for row, p in basis))
+    x = None
+    if len(basis) == len(pivots):
+        x = [0] * cols
+        for row, p in basis:
+            x[p] = row[cols] * (den // row[p])
+
+    def kernel():
+        for f in sorted(set(range(cols)).difference(pivots)):
+            v = [0] * cols
+            v[f] = den
+            for row, p in basis:
+                v[p] = -row[f] * (den // row[p])
+            yield v
+
+    return len(basis), x, kernel(), den
+
+
+def particular_solution(a, b) -> tuple[list[int], int] | None:
+    """(x, den) with a (x / den) = b, den > 0 and the free variables zero,
+    for integer a and b; None when a x = b is inconsistent."""
+    _, x, _, den = back_substitution(a, b)
+    return None if x is None else (x, den)
 
 
 def int_nullspace(m) -> list[list[int]]:
-    """Basis of the right kernel of an integer matrix, as integer vectors.
+    """den times the `nullspace` basis of an integer matrix, as ints."""
+    return list(back_substitution(m, [0] * len(m))[2])
 
-    One fraction-free Gauss-Jordan (`_echelon`).  With den > 0 the lcm of
-    the pivots, the vector of free column f has den at f and
-    -row[f] (den / row[p]) at the pivot column p of each echelon row: den
-    times the vector `nullspace` gives.  No Fraction is made.
+
+def signature(m: Matrix) -> int:
+    """Signature of a symmetric rational matrix, exactly.
+
+    Symmetric elimination on the integer matrix lcm(denominators) * m (an
+    int matrix is taken as it is): a nonzero diagonal pivot contributes its
+    sign; when the active diagonal is all zero, a nonzero off-diagonal entry
+    spans a hyperbolic pair contributing zero.  Singular matrices are fine
+    (the radical contributes nothing).  The Schur complement is scaled by
+    |d| at a pivot d and by c^2 at a pair entry c; both are positive
+    congruences, so the signature is unchanged.  As in Bareiss elimination,
+    the previous scale then divides every entry exactly, which keeps the
+    entries minors of the matrix; the new scale is |d|, or c^2 / prev at a
+    pair.
+
+    Rows are brought up to scale lazily.  A row that does not meet the pivot
+    (a_ip = 0, or zero against both rows of a pair) is only multiplied by
+    new scale / old scale, and along a run of such pivots the factors
+    telescope: its true entries are its stored entries times scale_now /
+    scale_then, scale_then being the scale the row was last written at.  So
+    a step rewrites only the rows that meet the pivot, after one exact
+    division brings each up to date.  A stale row differs from the true one
+    by a positive factor, so it has the true zero pattern and signs, which is
+    all the pivot search reads.  Rows keep their full width; the columns of
+    eliminated pivots are zero in every active row.  A Seifert form has a
+    few nonzeros per row, so few rows meet each pivot.
     """
-    cols = len(m[0]) if m else 0
-    rows, pivots = _echelon(m)
-    den = lcm(*(row[p] for row, p in zip(rows, pivots)))
-    basis = []
-    for f in sorted(set(range(cols)).difference(pivots)):
-        v = [0] * cols
-        v[f] = den
-        for row, p in zip(rows, pivots):
-            v[p] = -row[f] * (den // row[p])
-        basis.append(v)
-    return basis
+    if not is_symmetric(m):
+        raise ValueError("matrix is not symmetric")
+    rows = list(cleared_matrix(m)[0])  # rows are replaced, never changed in place
+    written = [1] * len(rows)  # the scale each row was last written at
+    active = list(range(len(rows)))
+    prev = 1
+    sig = 0
+
+    def current(i: int) -> list[int]:
+        if written[i] != prev:
+            rows[i] = [x * prev // written[i] for x in rows[i]]
+            written[i] = prev
+        return rows[i]
+
+    while active:
+        piv = next((i for i in active if rows[i][i]), None)
+        if piv is not None:
+            active.remove(piv)
+            prow = current(piv)
+            d = prow[piv]
+            s = 1 if d > 0 else -1
+            sig += s
+            scale = s * d
+            for i in active:
+                f = s * prow[i]
+                if f:
+                    rows[i] = [(scale * x - f * y) // prev for x, y in zip(current(i), prow)]
+                    written[i] = scale
+            prev = scale
+            continue
+        pair = next(
+            ((i, j) for i, j in itertools.combinations(active, 2) if rows[i][j]), None
+        )
+        if pair is None:
+            break
+        i0, j0 = pair
+        active.remove(i0)
+        active.remove(j0)
+        r0, r1 = current(i0), current(j0)
+        c = r0[j0]
+        cc, pp = c * c, prev * prev
+        scale = cc // prev
+        for i in active:
+            f0, f1 = c * r0[i], c * r1[i]
+            if f0 or f1:
+                rows[i] = [
+                    (cc * x - f0 * y1 - f1 * y0) // pp
+                    for x, y0, y1 in zip(current(i), r0, r1)
+                ]
+                written[i] = scale
+        prev = scale
+    return sig
 
 
 def is_symmetric(m: Matrix) -> bool:

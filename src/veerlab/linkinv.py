@@ -24,7 +24,7 @@ equality on random words is the standing cross-check.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from operator import mul
 
 from veerlab import burau, linalg, symplectic
 from veerlab.braid import BraidWord, linking_number
@@ -93,11 +93,11 @@ def seifert_matrix(b: BraidWord) -> list[list[int]]:
 def seifert_signature(b: BraidWord) -> int:
     """Signature of the symmetrized Seifert pairing of the closure.
 
-    V + V^T is integral, so it goes to `symplectic.signature` as ints; no
+    V + V^T is integral, so it goes to `linalg.signature` as ints; no
     Fraction is made.
     """
     v = seifert_matrix(b)
-    return symplectic.signature([[x + y for x, y in zip(row, col)] for row, col in zip(v, zip(*v))])
+    return linalg.signature([[x + y for x, y in zip(row, col)] for row, col in zip(v, zip(*v))])
 
 
 def meyer_signature(b: BraidWord) -> int:
@@ -213,31 +213,20 @@ def _pencil(a, x, y) -> tuple[int, int, bool]:
     row A means y^T k = 0 for every k in ker A.
 
     All of it comes from one fraction-free elimination of the integer
-    matrix [A | x] (`linalg._echelon`): its pivots in the first dim columns
-    give rank A, a pivot in column dim means x is not in col A, and each
-    free column f of A gives the kernel vector k with k_f = den and k_p =
-    -den row[f] / row[p] for the pivot row of column p, den being the lcm
-    of the pivots (k is integral).  The particular solution with free
+    matrix [A | x] (`linalg.back_substitution`): its pivots in the first dim
+    columns give rank A, a pivot in column dim means x is not in col A, and
+    each free column f of A gives the kernel vector k with k_f = den and
+    k_p = -den row[f] / row[p] for the pivot row of column p, den being the
+    lcm of the pivots (k is integral).  The particular solution with free
     variables zero is a_p = row[dim] / row[p], so y^T a = q / den with q =
     sum_p y_p row[dim] (den / row[p]).  The drop point is t* = -1 / (y^T a)
     = -den / q, and as den > 0, 0 < t* < 1 exactly when q < -den.
     """
-    dim = len(a)
-    rows, pivots = linalg._echelon([row + [xi] for row, xi in zip(a, x)])
-    basis = [(row, p) for row, p in zip(rows, pivots) if p < dim]
-    x_in = len(basis) == len(pivots)
-    r0 = len(basis)
-    den = lcm(*(row[p] for row, p in basis))
-    free = set(range(dim)).difference(pivots)
-    y_in = all(
-        y[f] * den == sum(y[p] * row[f] * (den // row[p]) for row, p in basis) for f in free
-    )
-    if not x_in:
+    r0, part, kernel, den = linalg.back_substitution(a, x)
+    y_in = all(sum(map(mul, y, k)) == 0 for k in kernel)
+    if part is None:
         return r0, r0 if y_in else r0 + 1, False
-    if not y_in:
-        return r0, r0, False
-    q = sum(y[p] * row[dim] * (den // row[p]) for row, p in basis)  # y^T a = q / den
-    return r0, r0, q < -den
+    return r0, r0, y_in and sum(map(mul, y, part)) < -den  # y^T a = q / den
 
 
 def _segment_term(s: int, r0: int, r_g: int, inner: bool, r1: int) -> int:

@@ -166,6 +166,13 @@ class NormalForm:
         return PSL2Element(m)
 
 
+def _normal_form(exponents: tuple[int, ...]) -> NormalForm:
+    """A NormalForm from exponents already known to be valid (the kernel's)."""
+    nf = object.__new__(NormalForm)
+    nf.__dict__["exponents"] = exponents
+    return nf
+
+
 class Classification(enum.Enum):
     PERIODIC = "periodic"
     REDUCIBLE = "reducible"
@@ -191,7 +198,7 @@ def classify(m: SL2Matrix) -> Classification:
 
 def normal_form(g: PSL2Element) -> NormalForm:
     """The unique Z/2 * Z/3 word of g (Euclidean-algorithm road)."""
-    return NormalForm(tuple(_core.nf_exponents(*g.rep.entries())))
+    return _normal_form(tuple(_core.nf_exponents(*g.rep.entries())))
 
 
 def rademacher(g: PSL2Element) -> int:

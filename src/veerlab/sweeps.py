@@ -188,8 +188,8 @@ def suite_meyer_cocycle(count: int, seed: int) -> dict:
             if rank_one != closed_one:
                 failures.append({"strands": strands, "letter": letter,
                                  "rank_one": rank_one, "closed_form": closed_one})
-        g12 = symplectic._int_mul(gs[0], gs[1])
-        g23 = symplectic._int_mul(gs[1], gs[2])
+        g12 = linalg.int_mul(gs[0], gs[1])
+        g23 = linalg.int_mul(gs[1], gs[2])
         pairs = [(gs[0], gs[1]), (g12, gs[2]), (gs[1], gs[2]), (gs[0], g23)]
         closed = [symplectic.meyer_closed_form(space, a, b) for a, b in pairs]
         ternary = [symplectic.meyer(space, a, b) for a, b in pairs]
@@ -234,9 +234,9 @@ def _random_symplectic(n: int, rng: random.Random) -> list[list[int]]:
                     shear[i][n + j] = s[i][j]
                 else:
                     shear[n + i][j] = s[i][j]
-        g = symplectic._int_mul(g, shear)
+        g = linalg.int_mul(g, shear)
         if rng.random() < 0.4:
-            g = symplectic._int_mul(g, swap)
+            g = linalg.int_mul(g, swap)
     if not space.is_symplectic_matrix(g):
         raise AssertionError("random product is not symplectic")
     return g
@@ -259,7 +259,7 @@ def _random_transverse_triple(n: int, rng: random.Random):
     u2 = [row[n:] for row in psi]
     l1 = symplectic.frame(space, u1)
     l2 = symplectic.frame(space, u2)
-    u2a = symplectic._int_mul(u2, a)
+    u2a = linalg.int_mul(u2, a)
     l3 = symplectic.frame(space, [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(u1, u2a)])
     return space, l1, l2, l3, u1, u2, a
 
@@ -273,7 +273,7 @@ def suite_ternary_lemma(count: int, seed: int) -> dict:
         n = 1 if i % 2 == 0 else 2
         space, l1, l2, l3, u1, u2, a = _random_transverse_triple(n, rng)
         a_inv = linalg.inverse(a)
-        seg13 = _line_segment(u1, symplectic._int_mul(u2, a))
+        seg13 = _line_segment(u1, linalg.int_mul(u2, a))
         seg23 = _line_segment(u2, linalg.mat_mul(u1, a_inv))
         g13 = symplectic.LagrangianPath(space, (seg13,))
         g23 = symplectic.LagrangianPath(space, (seg23,))

@@ -1,9 +1,10 @@
-"""Exact rational symplectic linear algebra.
+"""Exact rational symplectic objects and the cross-check engines.
 
-Lagrangian frames, chart coordinates, signatures of symmetric forms, the
-Maslov index of piecewise-polynomial Lagrangian paths, the ternary index of
-Lagrangian triples, and the Meyer cocycle in two forms.  Everything is
-exact; a Maslov index is a half-integer and admits no tolerance.
+Lagrangian frames, chart coordinates, the Maslov index of polynomial
+Lagrangian paths, the ternary index of Lagrangian triples and the Meyer
+cocycle in two forms, on the kernels of `linalg`; `signature` and
+`verdict.BoundExceeded` are re-exported here as the same objects.  All of
+it is exact; a Maslov index is a half-integer and admits no tolerance.
 
 The chart engine serves general paths: the ternary-index lemma and the
 cross-check of `linkinv.maslov_of_word`.  It subdivides a path until each
@@ -41,12 +42,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 from operator import mul
 
 from veerlab import linalg, poly
-from veerlab.linalg import Matrix
+from veerlab.linalg import Matrix, signature
 from veerlab.poly import Poly
+from veerlab.verdict import BoundExceeded
 
 __all__ = [
     "SymplecticSpace",
@@ -70,11 +72,6 @@ __all__ = [
 
 class ChartMissError(Exception):
     """The Lagrangian is not transverse to the chart's complement."""
-
-
-class BoundExceeded(RuntimeError):
-    """A termination bound was hit (the chart engine's, or a strand bound
-    in `burau`); the message names it."""
 
 
 # Termination bounds of the chart engine.
@@ -137,7 +134,7 @@ class SymplecticSpace:
     def _int_form(self) -> tuple[int, list[list[int]], list[list[tuple[int, int]]]]:
         """(L, K, nonzeros): K = L * form as ints with L > 0, and nonzeros[r]
         the pairs (s, K[r][s]) with K[r][s] != 0."""
-        k, scale = _cleared(self.form)
+        k, scale = linalg.cleared_matrix(self.form)
         return scale, k, [[(s, f) for s, f in enumerate(row) if f] for row in k]
 
     def _gram(self, b) -> list[list[int]]:
@@ -157,7 +154,7 @@ class SymplecticSpace:
         d = self.dim
         if len(g) != d or any(len(row) != d for row in g):
             return False
-        h, m = _integral(g)
+        h, m = linalg.cleared_matrix(g)
         mm = m * m
         return self._gram(h) == [[mm * x for x in row] for row in self._int_form[1]]
 
@@ -179,108 +176,15 @@ class LagrangianFrame:
             raise ValueError("frame must be dim x n")
         if linalg.rank(b) != self.space.n:
             raise ValueError("frame columns are dependent")
-        if any(any(row) for row in self.space._gram(_cleared(b)[0])):
+        if any(any(row) for row in self.space._gram(linalg.cleared_matrix(b)[0])):
             raise ValueError("frame is not isotropic")
 
     def basis_matrix(self) -> Matrix:
         return [list(row) for row in self.basis]
 
 
-def _cleared(m) -> tuple[list[list[int]], int]:
-    """(M, s) with m == M / s: M an int matrix, s > 0 one scale for all entries."""
-    s = lcm(*[x.denominator for row in m for x in row])
-    return [[x.numerator * (s // x.denominator) for x in row] for row in m], s
-
-
-def _integral(m) -> tuple[list[list[int]], int]:
-    """`_cleared`, but an all-int m is returned as it is, with s = 1."""
-    if set(map(type, itertools.chain.from_iterable(m))) <= {int}:
-        return m, 1
-    return _cleared(m)
-
-
 def frame(space: SymplecticSpace, basis: Matrix) -> LagrangianFrame:
     return LagrangianFrame(space, tuple(tuple(row) for row in basis))
-
-
-def signature(m: Matrix) -> int:
-    """Signature of a symmetric rational matrix, exactly.
-
-    Symmetric elimination on the integer matrix lcm(denominators) * m (an
-    int matrix is taken as it is): a nonzero diagonal pivot contributes its
-    sign; when the active diagonal is all zero, a nonzero off-diagonal entry
-    spans a hyperbolic pair contributing zero.  Singular matrices are fine
-    (the radical contributes nothing).  The Schur complement is scaled by
-    |d| at a pivot d and by c^2 at a pair entry c; both are positive
-    congruences, so the signature is unchanged.  As in Bareiss elimination,
-    the previous scale then divides every entry exactly, which keeps the
-    entries minors of the matrix; the new scale is |d|, or c^2 / prev at a
-    pair.
-
-    Rows are brought up to scale lazily.  A row that does not meet the pivot
-    (a_ip = 0, or zero against both rows of a pair) is only multiplied by
-    new scale / old scale, and along a run of such pivots the factors
-    telescope: its true entries are its stored entries times scale_now /
-    scale_then, scale_then being the scale the row was last written at.  So
-    a step rewrites only the rows that meet the pivot, after one exact
-    division brings each up to date.  A stale row differs from the true one
-    by a positive factor, so it has the true zero pattern and signs, which is
-    all the pivot search reads.  Rows keep their full width; the columns of
-    eliminated pivots are zero in every active row.  A Seifert form has a
-    few nonzeros per row, so few rows meet each pivot.
-    """
-    if not linalg.is_symmetric(m):
-        raise ValueError("matrix is not symmetric")
-    rows = list(_integral(m)[0])  # rows are replaced, never changed in place
-    written = [1] * len(rows)  # the scale each row was last written at
-    active = list(range(len(rows)))
-    prev = 1
-    sig = 0
-
-    def current(i: int) -> list[int]:
-        if written[i] != prev:
-            rows[i] = [x * prev // written[i] for x in rows[i]]
-            written[i] = prev
-        return rows[i]
-
-    while active:
-        piv = next((i for i in active if rows[i][i]), None)
-        if piv is not None:
-            active.remove(piv)
-            prow = current(piv)
-            d = prow[piv]
-            s = 1 if d > 0 else -1
-            sig += s
-            scale = s * d
-            for i in active:
-                f = s * prow[i]
-                if f:
-                    rows[i] = [(scale * x - f * y) // prev for x, y in zip(current(i), prow)]
-                    written[i] = scale
-            prev = scale
-            continue
-        pair = next(
-            ((i, j) for i, j in itertools.combinations(active, 2) if rows[i][j]), None
-        )
-        if pair is None:
-            break
-        i0, j0 = pair
-        active.remove(i0)
-        active.remove(j0)
-        r0, r1 = current(i0), current(j0)
-        c = r0[j0]
-        cc, pp = c * c, prev * prev
-        scale = cc // prev
-        for i in active:
-            f0, f1 = c * r0[i], c * r1[i]
-            if f0 or f1:
-                rows[i] = [
-                    (cc * x - f0 * y1 - f1 * y0) // pp
-                    for x, y0, y1 in zip(current(i), r0, r1)
-                ]
-                written[i] = scale
-        prev = scale
-    return sig
 
 
 def lagrangian_complement(lam: LagrangianFrame) -> LagrangianFrame:
@@ -298,7 +202,7 @@ def lagrangian_complement(lam: LagrangianFrame) -> LagrangianFrame:
     space = lam.space
     n, dim = space.n, space.dim
     r, den = _pairing(lam)
-    rows, pivots = linalg._echelon(
+    rows, pivots = linalg.echelon(
         [row + [den * (i == j) for j in range(n)] for i, row in enumerate(r)]
     )
     if pivots[-1] >= dim:
@@ -306,24 +210,18 @@ def lagrangian_complement(lam: LagrangianFrame) -> LagrangianFrame:
     v0 = linalg.zeros(dim, n)
     for row, p in zip(rows, pivots):
         v0[p] = [Fraction(x, row[p]) for x in row[dim:]]
-    v0i, v0s = _cleared(v0)
+    v0i, v0s = linalg.cleared_matrix(v0)
     half = 2 * space._int_form[0] * v0s * v0s
     m = [[Fraction(x, half) for x in row] for row in space._gram(v0i)]
     return frame(space, linalg.mat_add(v0, linalg.mat_mul(lam.basis_matrix(), m)))
-
-
-def _int_mul(a, b) -> list[list[int]]:
-    """The product of two integer matrices."""
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def _pairing(lam: LagrangianFrame) -> tuple[list[list[int]], int]:
     """(R, s) with B^T Omega = R / s for the basis B of lam: row i of R / s
     is the functional omega(b_i, .)."""
     scale, k, _ = lam.space._int_form
-    bi, s = _cleared(lam.basis_matrix())
-    return _int_mul(zip(*bi), k), scale * s
+    bi, s = linalg.cleared_matrix(lam.basis_matrix())
+    return linalg.int_mul(zip(*bi), k), scale * s
 
 
 def chart_coordinates(
@@ -380,9 +278,9 @@ def _int_columns(pm: PolyMatrix) -> list[list[list[int]]]:
     column's longest entry."""
     cols = []
     for col in zip(*pm):
-        ints = _cleared(col)[0]
+        ints = linalg.cleared_matrix(col)[0]
         width = max(map(len, ints), default=0)
-        cols.append([e + [0] * (width - len(e)) for e in ints])
+        cols.append([list(e) + [0] * (width - len(e)) for e in ints])
     return cols
 
 
@@ -452,10 +350,6 @@ def _det_poly(m: IntPolyMatrix) -> Poly:
     return poly.poly([c // content for c in coeffs])
 
 
-def _rank(m: list[list[int]]) -> int:
-    return len(linalg._echelon(m)[1])
-
-
 def _at(cols, t) -> list[list[int]]:
     """F(t) on F's integer columns: a positive column scaling, same span."""
     return _ipm_eval(list(zip(*cols)), t)
@@ -489,7 +383,7 @@ class LagrangianPath:
             if not _pm_isotropic(cols, self.space):
                 raise ValueError("segment is not isotropic for all t")
             start, mid, end = (_at(cols, t) for t in (Fraction(0), Fraction(1, 2), Fraction(1)))
-            if any(_rank(f) != n for f in (start, mid, end)):
+            if any(len(linalg.echelon(f)[1]) != n for f in (start, mid, end)):
                 raise ValueError("frame columns are dependent")
             if prev_end is not None:
                 _check_junction(prev_end, start)
@@ -525,7 +419,7 @@ class LagrangianPath:
 
 
 def _check_junction(end: list[list[int]], start: list[list[int]]) -> None:
-    if _rank([a + b for a, b in zip(end, start)]) != len(end[0]):
+    if len(linalg.echelon([a + b for a, b in zip(end, start)])[1]) != len(end[0]):
         raise ValueError("segment endpoints do not match")
 
 
@@ -543,7 +437,7 @@ def _complement_pool(lam0: LagrangianFrame, u) -> list[list[list[int]]]:
     r_u, d_u = u
     r_v, d_v = _chart(u, lagrangian_complement(lam0))
     return [r_v] + [
-        [[d_v * x + d_u * y for x, y in zip(cu, rv)] for cu, rv in zip(_int_mul(c, r_u), r_v)]
+        [[d_v * x + d_u * y for x, y in zip(cu, rv)] for cu, rv in zip(linalg.int_mul(c, r_u), r_v)]
         for c in _candidate_symmetrics(lam0.space.n)
     ]
 
@@ -594,9 +488,9 @@ def _chart(u, complement: LagrangianFrame):
     """`_pairing(complement)` for a complement W of lam0 = span U (u is
     lam0's pairing), after checking G = U^T Omega W = I, which the chart
     signatures rely on.  The dual and bespoke complements pass here."""
-    (r, den), (wi, ws) = u, _cleared(complement.basis_matrix())
+    (r, den), (wi, ws) = u, linalg.cleared_matrix(complement.basis_matrix())
     unit = den * ws
-    if _int_mul(r, wi) != [[unit * (i == j) for j in range(len(r))] for i in range(len(r))]:
+    if linalg.int_mul(r, wi) != [[unit * (i == j) for j in range(len(r))] for i in range(len(r))]:
         raise AssertionError("pool complement is not omega-dual to the reference")
     return _pairing(complement)
 
@@ -671,7 +565,7 @@ def _chart_signature(q: IntPolyMatrix, p: IntPolyMatrix, t: Fraction) -> int:
     has no root on the piece, so Q(t) = W^T Omega F(t) is invertible and
     F(t) has rank n.
     """
-    qtp = _int_mul(zip(*_ipm_eval(q, t)), _ipm_eval(p, t))
+    qtp = linalg.int_mul(zip(*_ipm_eval(q, t)), _ipm_eval(p, t))
     if not linalg.is_symmetric(qtp):
         raise AssertionError("chart matrix is not symmetric")
     return -signature(qtp)
@@ -686,7 +580,7 @@ def _ternary(space: SymplecticSpace, f1, f2, f3) -> int:
     are independent (the pivot columns of the z-parts) give a basis."""
     n = space.n
     null = linalg.int_nullspace([r1 + r2 + [-x for x in r3] for r1, r2, r3 in zip(f1, f2, f3)])
-    picked = linalg._echelon([list(z) for z in zip(*(v[2 * n :] for v in null))])[1]
+    picked = linalg.echelon([list(z) for z in zip(*(v[2 * n :] for v in null))])[1]
     chosen = [null[j] for j in picked]
     vs = [[sum(map(mul, row, v[2 * n :])) for row in f3] for v in chosen]
     v2s = [[sum(map(mul, row, v[n : 2 * n])) for row in f2] for v in chosen]
@@ -704,7 +598,7 @@ def ternary_index(
     space = l1.space
     if l2.space != space or l3.space != space:
         raise ValueError("frames live in different spaces")
-    return _ternary(space, *(_cleared(f.basis)[0] for f in (l1, l2, l3)))
+    return _ternary(space, *(linalg.cleared_matrix(f.basis)[0] for f in (l1, l2, l3)))
 
 
 def ternary_index_kernel(
@@ -714,7 +608,7 @@ def ternary_index_kernel(
     {(v1, v2, v3) : v1 + v2 + v3 = 0}, Q' = omega(v1, w3).  On the cleared
     bases."""
     space = l1.space
-    f1, f2, f3 = (_cleared(f.basis)[0] for f in (l1, l2, l3))
+    f1, f2, f3 = (linalg.cleared_matrix(f.basis)[0] for f in (l1, l2, l3))
     n = space.n
     null = linalg.int_nullspace([r1 + r2 + r3 for r1, r2, r3 in zip(f1, f2, f3)])
     v1s = [[sum(map(mul, row, v[:n])) for row in f1] for v in null]
@@ -755,14 +649,14 @@ def meyer(space: SymplecticSpace, g1: Matrix, g2: Matrix) -> int:
         if not space.is_symplectic_matrix(g):
             raise ValueError("matrix does not preserve the form")
     d = space.dim
-    (h1, m1), (h2, m2) = _integral(g1), _integral(g2)
+    (h1, m1), (h2, m2) = linalg.cleared_matrix(g1), linalg.cleared_matrix(g2)
 
     def graph(h, m: int) -> list[list[int]]:
         return [[m * (i == j) for j in range(d)] for i in range(d)] + [list(r) for r in h]
 
     ident = [[int(i == j) for j in range(d)] for i in range(d)]
     return _ternary(
-        space.doubled(), graph(ident, 1), graph(h1, m1), graph(_int_mul(h1, h2), m1 * m2)
+        space.doubled(), graph(ident, 1), graph(h1, m1), graph(linalg.int_mul(h1, h2), m1 * m2)
     )
 
 
@@ -787,7 +681,7 @@ def meyer_closed_form(space: SymplecticSpace, g1: Matrix, g2: Matrix) -> int:
         if not space.is_symplectic_matrix(g):
             raise ValueError("matrix does not preserve the form")
     d = space.dim
-    (h1, m1), (h2, m2) = _integral(g1), _integral(g2)
+    (h1, m1), (h2, m2) = linalg.cleared_matrix(g1), linalg.cleared_matrix(g2)
     w = linalg.int_nullspace(
         [
             [m2 * (m1 * (i == j) - x) for j, x in enumerate(r1)]

@@ -1,11 +1,15 @@
-"""Three-valued verdicts with machine-checkable certificates."""
+"""Three-valued verdicts with machine-checkable certificates, and BoundExceeded."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any
 
-__all__ = ["Verdict"]
+__all__ = ["Verdict", "BoundExceeded"]
+
+
+class BoundExceeded(RuntimeError):
+    """A termination bound was hit (chart engine, strands); the message names it."""
 
 
 @dataclass(frozen=True)

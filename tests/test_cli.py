@@ -133,6 +133,29 @@ def test_sweep_non_integer_env_seed_exits_one(capsys, monkeypatch):
     assert "invalid literal" not in err
 
 
+def test_sweep_overlong_env_seed_is_cut_and_out_of_range(capsys, monkeypatch):
+    monkeypatch.setenv("VEERLAB_SEED", "7" * 5000)
+    code, payload, err = run(capsys, ["sweep", "--suite", "rademacher", "--count", "5"])
+    assert code == 1 and payload is None
+    assert "VEERLAB_SEED" in err and "out of range (5000 characters)" in err
+    assert "'" + "7" * 20 + "...'" in err and len(err) < 200
+
+
+def test_every_recorded_report_reproduces(capsys):
+    # All 86 reports recorded in perfbench/answers.json (seeds 1 and 20061,
+    # B_3-B_7, lengths 20 and 40), keyed "B<n>L<length>:<word>".
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "answers.json"
+    recorded = json.loads(path.read_text())["invariants"]
+    assert sorted(recorded) == ["1", "20061"]
+    keys = [(seed, key) for seed in recorded for key in recorded[seed]]
+    assert len(keys) == 86
+    for seed, key in keys:
+        cls, word = key.split(":", 1)
+        assert cli.main(["invariants", "-n", cls[1:cls.index("L")], word]) == 0, key
+        want = json.dumps(recorded[seed][key], sort_keys=True) + "\n"
+        assert capsys.readouterr().out == want, (seed, key)
+
+
 def test_sweep_negative_count_exits_one(capsys):
     code, payload, err = run(capsys, ["sweep", "--suite", "theorem-lk", "--count", "-3"])
     assert code == 1 and payload is None
@@ -210,20 +233,43 @@ def test_sign_maslov_sweep_reports_a_chart_mismatch(capsys, monkeypatch):
 
 
 def test_invariants_stays_in_the_2n_space(capsys, monkeypatch):
-    from veerlab import burau, poly, symplectic
+    # The default engines run on linalg and burau alone: every function
+    # defined in symplectic or poly raises, in every module that binds it,
+    # and so do the doubled-space entries of burau.
+    import inspect
+    import sys
+
+    from veerlab import burau
+
+    commands = [["invariants", "-n", "3", W25],
+                ["invariants", "-n", "5", "1 -2 3 4 -3 2 2 1 -4"],
+                ["invariants", "-n", "7", "1 -2 3 -4 5 6 -5 4 2 -1 3 -6 1 1"],
+                ["signature", "-n", "7", "1 2 -3 4 5 -6 2 3"],
+                ["maslov", "-n", "6", "1 -2 3 4 5 -1"]]
+    expected = [run(capsys, argv) for argv in commands]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("doubled-space engine entered")
 
-    for module, name in ((symplectic, "graph_lagrangian"), (symplectic, "graph_path"),
-                         (symplectic, "maslov_index"), (symplectic, "meyer"),
-                         (symplectic, "ternary_index"), (burau, "graph_path_of"),
-                         (burau, "lift"), (poly, "peval")):
-        monkeypatch.setattr(module, name, forbidden)
-    code, report, _ = run(capsys, ["invariants", "-n", "5", "1 -2 3 4 -3 2 2 1 -4"])
-    assert code == 0 and all(report["identity_checks"].values())
-    code, report, _ = run(capsys, ["invariants", "-n", "3", W25])
-    assert code == 0 and report["maslov"] == {"mu": "1", "two_mu": 2}
+    def defined_there(value):
+        return inspect.isfunction(value) and value.__module__ in ("veerlab.symplectic",
+                                                                   "veerlab.poly")
+
+    patched = 0
+    for name, module in list(sys.modules.items()):
+        if name == "veerlab" or name.startswith("veerlab."):
+            for owner in [module] + [v for v in vars(module).values() if inspect.isclass(v)]:
+                for attr, value in list(vars(owner).items()):
+                    if defined_there(value):
+                        monkeypatch.setattr(owner, attr, forbidden)
+                        patched += 1
+    for name in ("graph_path_of", "lift"):
+        monkeypatch.setattr(burau, name, forbidden)
+    assert patched > 50
+    for argv, (code, report, _) in zip(commands, expected):
+        assert code == 0 and run(capsys, argv) == (0, report, ""), argv
+    assert expected[0][1]["maslov"] == {"mu": "1", "two_mu": 2}
+    assert all(all(report["identity_checks"].values()) for _, report, _ in expected[:3])
 
 
 def test_meyer_cocycle_sweep_reports_a_rank_one_mismatch(capsys, monkeypatch):

@@ -1,4 +1,4 @@
-"""The integer kernels of linalg and symplectic.signature against plain
+"""The integer kernels of linalg, signature among them, against plain
 rational Gaussian elimination.
 
 The references below are the straightforward Fraction algorithms.  Every
@@ -9,6 +9,8 @@ entries, on seeded random matrices.
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 import pytest
 
@@ -120,6 +122,35 @@ def ref_signature(m):
                 for j in active:
                     m[i][j] -= (fi * m[j0][j] + fj * m[i0][j]) / c
     return sig
+
+
+def ref_particular_solution(a, b):
+    """`particular_solution` as it was before the shared back-substitution:
+    its own lcm back-substitution over an `echelon` of [a | b]."""
+    cols = len(a[0]) if a else 0
+    rows, pivots = linalg.echelon([list(row) + [bi] for row, bi in zip(a, b)])
+    if pivots and pivots[-1] == cols:
+        return None
+    den = lcm(*(row[c] for row, c in zip(rows, pivots)))
+    x = [0] * cols
+    for row, c in zip(rows, pivots):
+        x[c] = row[cols] * (den // row[c])
+    return x, den
+
+
+def ref_int_nullspace(m):
+    """`int_nullspace` as it was before the shared back-substitution."""
+    cols = len(m[0]) if m else 0
+    rows, pivots = linalg.echelon(m)
+    den = lcm(*(row[p] for row, p in zip(rows, pivots)))
+    basis = []
+    for f in sorted(set(range(cols)).difference(pivots)):
+        v = [0] * cols
+        v[f] = den
+        for row, p in zip(rows, pivots):
+            v[p] = -row[f] * (den // row[p])
+        basis.append(v)
+    return basis
 
 
 # --- seeded inputs ------------------------------------------------------------
@@ -352,9 +383,9 @@ def test_signature_plain_int_input():
 
 
 def test_integer_callers_pass_rows_straight_to_the_elimination(monkeypatch):
-    # _echelon takes integer rows; rank, solve and nullspace clear Fraction
-    # rows first, while particular_solution and the crossing-count pencil
-    # hand over their ints without a clearing pass.
+    # echelon takes integer rows; rank, solve and nullspace clear Fraction
+    # rows first, while particular_solution, int_nullspace and the
+    # crossing-count pencil hand over their ints without a clearing pass.
     from veerlab import linkinv
 
     rng = random.Random(63)
@@ -370,6 +401,7 @@ def test_integer_callers_pass_rows_straight_to_the_elimination(monkeypatch):
             [rng.randint(-2, 2) for _ in range(dim)],
         ))
     expected = [linalg.particular_solution(a, b) for a, b in systems]
+    kernels = [linalg.int_nullspace(a) for a, _ in systems]
     drops = [linkinv._pencil(*p) for p in pencils]
     for (a, b), sol in zip(systems, expected):
         assert linalg.rank(linalg.frac_matrix(a)) == len(ref_echelon(linalg.frac_matrix(a))[1])
@@ -377,9 +409,65 @@ def test_integer_callers_pass_rows_straight_to_the_elimination(monkeypatch):
             x, den = sol
             assert [sum(r * xi for r, xi in zip(row, x)) for row in a] == [den * bi for bi in b]
 
-    def forbidden(row):
-        raise AssertionError("integer rows sent through _cleared")
+    def forbidden(m):
+        raise AssertionError("integer rows sent through a clearing pass")
 
     monkeypatch.setattr(linalg, "_cleared", forbidden)
+    monkeypatch.setattr(linalg, "cleared_matrix", forbidden)
     assert [linalg.particular_solution(a, b) for a, b in systems] == expected
+    assert [linalg.int_nullspace(a) for a, _ in systems] == kernels
     assert [linkinv._pencil(*p) for p in pencils] == drops
+
+
+def int_system(rng, k, rows, cols):
+    """(a, b): a of full random rank or a rank-deficient product, with
+    entries above 10^6 on every fourth k; b = a v (consistent) on every
+    third k, otherwise random, so often inconsistent when a is deficient."""
+    big = 10**7 if k % 4 == 3 else 3
+
+    def draw(r, c):
+        return [[rng.randint(-big, big) for _ in range(c)] for _ in range(r)]
+
+    if k % 2:
+        rank = rng.randint(1, max(1, min(rows, cols) - 1))
+        a = linalg.int_mul(draw(rows, rank), draw(rank, cols))
+    else:
+        a = draw(rows, cols)
+    if k % 3 == 0:
+        v = draw(1, cols)[0]
+        return a, [sum(map(mul, row, v)) for row in a]
+    return a, draw(1, rows)[0]
+
+
+def test_back_substitution_readers_match_their_own_eliminations():
+    # particular_solution, int_nullspace and the crossing-count pencil read
+    # one shared back-substitution; each agrees with the body it replaced
+    # (the pencil with its rational reading) on 2000 systems of sizes 1-8.
+    from test_linkinv import ref_pencil
+    from veerlab import linkinv
+
+    rng = random.Random(64)
+    seen = dict.fromkeys(("inconsistent", "deficient", "big", "rank_up", "interior"), 0)
+    for k in range(2000):
+        a, b = int_system(rng, k, rng.randint(1, 8), rng.randint(1, 8))
+        solution = ref_particular_solution(a, b)
+        assert linalg.particular_solution(a, b) == solution
+        kernel = ref_int_nullspace(a)
+        assert linalg.int_nullspace(a) == kernel
+        if solution is not None:
+            x, den = solution
+            assert [sum(map(mul, row, x)) for row in a] == [den * bi for bi in b]
+        seen["inconsistent"] += solution is None
+        seen["deficient"] += len(kernel) > len(a[0]) - min(len(a), len(a[0]))
+        seen["big"] += max(abs(e) for row in a for e in row) > 10**6
+        dim = rng.randint(1, 8)
+        a, x = int_system(rng, k, dim, dim)
+        w = [rng.randint(-2, 2) for _ in range(dim)]
+        # y in row A (y = A^T w) on every other k, otherwise random.
+        y = [sum(map(mul, col, w)) for col in zip(*a)] if k % 2 else w
+        r0, r_g, t_star = ref_pencil(a, x, y)
+        inner = t_star is not None and 0 < t_star < 1
+        assert linkinv._pencil(a, x, y) == (r0, r_g, inner)
+        seen["rank_up"] += r_g > r0
+        seen["interior"] += inner
+    assert all(seen.values()), seen

@@ -7,6 +7,7 @@ import pytest
 from veerlab.braid import BraidWord, parse_braid, power
 from veerlab.modular import (
     Classification,
+    NormalForm,
     PSL2Element,
     SL2_A,
     SL2_B,
@@ -246,3 +247,15 @@ def test_derived_matrices_equal_their_checked_construction():
             assert isinstance(derived, SL2Matrix) and str(derived) == str(checked)
     b = parse_braid("1 -2 1 1 2", 3)
     assert project_b3(b) == SL2Matrix(*project_b3(b).entries())
+
+
+def test_normal_form_is_built_unchecked_and_equals_the_checked_one():
+    with pytest.raises(ValueError, match="invalid exponent list"):
+        NormalForm((2,))
+    with pytest.raises(ValueError):
+        NormalForm((1, 0, 1))
+    for seed in range(500):
+        nf = normal_form(random_psl(random.Random(seed), 40))
+        checked = NormalForm(nf.exponents)
+        assert nf == checked and hash(nf) == hash(checked)
+        assert type(nf.exponents) is tuple and nf.to_psl() == checked.to_psl()
