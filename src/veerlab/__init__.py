@@ -37,7 +37,6 @@ from veerlab.farey import (
     FareyEdge,
     edge_of,
     lk2_nonqp_certificate,
-    neighbor,
     rademacher_turns,
     solve_xp_eq_pw,
     turn_word,

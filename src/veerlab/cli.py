@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from veerlab import farey, linkinv, sweeps, symplectic, torus
+from veerlab import burau, farey, linkinv, sweeps, symplectic, torus
 from veerlab.braid import _INT_RE, BraidWord, _cut, _int_token, linking_number, parse_braid
 from veerlab.modular import (
     Classification,
@@ -109,8 +109,6 @@ def cmd_maslov(args: argparse.Namespace) -> int:
 
 
 def cmd_meyer(args: argparse.Namespace) -> int:
-    from veerlab import burau
-
     a = parse_braid(args.word, args.strands)
     b = parse_braid(args.word2, args.strands)
     ao, bo = burau._odd_word(a), burau._odd_word(b)

@@ -14,14 +14,13 @@ from dataclasses import dataclass
 from math import gcd
 
 from veerlab import _core
-from veerlab.modular import PSL2Element
+from veerlab.modular import SL2_A, SL2_B, SL2_B_INV, SL2_ID, PSL2Element, normal_form
 from veerlab.verdict import Verdict
 
 __all__ = [
     "ExtSlope",
     "FareyEdge",
     "edge_of",
-    "neighbor",
     "turn_word",
     "rademacher_turns",
     "invert_turn_word",
@@ -72,41 +71,11 @@ class FareyEdge:
         if abs(self.a.q * self.b.p - self.a.p * self.b.q) != 1:
             raise ValueError(f"{self.a} and {self.b} are not Farey neighbors")
 
-    def reversed(self) -> "FareyEdge":
-        return FareyEdge(self.b, self.a)
-
 
 def edge_of(g: PSL2Element) -> FareyEdge:
     """The directed edge of g: columns of its matrix, as slopes."""
     m = g.rep
     return FareyEdge(ExtSlope(m.a, m.c), ExtSlope(m.b, m.d))
-
-
-def _oriented_columns(e: FareyEdge) -> tuple[int, int, int, int]:
-    """Column representatives (s, t) of the edge with det(s|t) = +1."""
-    sq, sp, tq, tp = e.a.q, e.a.p, e.b.q, e.b.p
-    if sq * tp - sp * tq == -1:
-        tq, tp = -tq, -tp
-    return sq, sp, tq, tp
-
-
-def neighbor(e: FareyEdge, move: str) -> FareyEdge:
-    """The edge of g*move for e the edge of g, move in {A, B, Binv}.
-
-    With det-normalized columns (s, t) the clockwise triangle through the
-    edge is (s, t, s + t): A reverses to (t, s), B crosses to (s+t, s),
-    and B^-1 crosses to (t, s+t).
-    """
-    sq, sp, tq, tp = _oriented_columns(e)
-    if move == "A":
-        cols = (-tq, -tp, sq, sp)
-    elif move == "B":
-        cols = (sq + tq, sp + tp, -sq, -sp)
-    elif move == "Binv":
-        cols = (-tq, -tp, sq + tq, sp + tp)
-    else:
-        raise ValueError(f"move must be A, B or Binv, got {move!r}")
-    return FareyEdge(ExtSlope(cols[0], cols[1]), ExtSlope(cols[2], cols[3]))
 
 
 def turn_word(g: PSL2Element) -> str:
@@ -131,15 +100,11 @@ def geodesic_edges(g: PSL2Element) -> list[FareyEdge]:
     edge of g: each crossing multiplies in one B-letter of the word, with
     the interleaved A's flipping direction only, so the crossed edges are
     the edges of the prefixes ending at each B-syllable."""
-    from veerlab.modular import SL2_A, SL2_B, SL2_ID, normal_form
-
     edges = [FareyEdge(SLOPE_ZERO, SLOPE_INF)]
     m = SL2_ID
-    for i, e in enumerate(normal_form(g).exponents):
-        if i > 0:
-            m = m * SL2_A
-        if e != 0:
-            m = m * (SL2_B if e == 1 else SL2_B.inverse())
+    for kind, e in normal_form(g).syllables():
+        m = m * (SL2_A if kind == 0 else SL2_B if e == 1 else SL2_B_INV)
+        if kind == 1:
             edges.append(edge_of(PSL2Element(m)))
     return edges
 

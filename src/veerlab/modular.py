@@ -28,6 +28,7 @@ __all__ = [
     "Classification",
     "SL2_A",
     "SL2_B",
+    "SL2_B_INV",
     "SIGMA1_BAR",
     "SIGMA2_BAR",
     "project_b3",
@@ -76,19 +77,8 @@ class SL2Matrix:
     def entries(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
 
-    def __pow__(self, n: int) -> "SL2Matrix":
-        m = self if n >= 0 else self.inverse()
-        result = SL2_ID
-        for _ in range(abs(n)):
-            result = result * m
-        return result
-
     def __str__(self) -> str:
         return f"{self.a} {self.b}; {self.c} {self.d}"
-
-    @classmethod
-    def identity(cls) -> "SL2Matrix":
-        return SL2_ID
 
 
 def _sl2(a: int, b: int, c: int, d: int) -> SL2Matrix:
@@ -101,6 +91,7 @@ def _sl2(a: int, b: int, c: int, d: int) -> SL2Matrix:
 SL2_ID = SL2Matrix(1, 0, 0, 1)
 SL2_A = SL2Matrix(0, 1, -1, 0)
 SL2_B = SL2Matrix(1, -1, 1, 0)
+SL2_B_INV = SL2_B.inverse()
 SIGMA1_BAR = SL2Matrix(1, 0, -1, 1)
 SIGMA2_BAR = SL2Matrix(1, 1, 0, 1)
 
@@ -122,22 +113,15 @@ class PSL2Element:
     rep: SL2Matrix
 
     def __post_init__(self):
-        entries = self.rep.entries()
-        for x in entries:
-            if x != 0:
-                if x < 0:
-                    object.__setattr__(self, "rep", self.rep.neg())
-                break
+        a, b, c, d = self.rep.entries()
+        if (a or b or c or d) < 0:  # the first nonzero entry
+            object.__setattr__(self, "rep", self.rep.neg())
 
     def __mul__(self, other: "PSL2Element") -> "PSL2Element":
         return PSL2Element(self.rep * other.rep)
 
     def inverse(self) -> "PSL2Element":
         return PSL2Element(self.rep.inverse())
-
-
-PSL_A = PSL2Element(SL2_A)
-PSL_B = PSL2Element(SL2_B)
 
 
 @dataclass(frozen=True)
@@ -153,16 +137,21 @@ class NormalForm:
             if e not in ok:
                 raise ValueError(f"invalid exponent list {r}")
 
+    def syllables(self) -> list[tuple[int, int]]:
+        """Alternating (kind, exp) syllables: kind 0 is A, kind 1 is B^exp."""
+        sylls: list[tuple[int, int]] = []
+        for i, e in enumerate(self.exponents):
+            if i > 0:
+                sylls.append((0, 0))
+            if e != 0:
+                sylls.append((1, e))
+        return sylls
+
     def to_psl(self) -> PSL2Element:
         """Multiply the encoded word back out."""
         m = SL2_ID
-        for i, e in enumerate(self.exponents):
-            if i > 0:
-                m = m * SL2_A
-            if e == 1:
-                m = m * SL2_B
-            elif e == -1:
-                m = m * SL2_B.inverse()
+        for kind, e in self.syllables():
+            m = m * (SL2_A if kind == 0 else SL2_B if e == 1 else SL2_B_INV)
         return PSL2Element(m)
 
 
@@ -220,54 +209,36 @@ def rademacher_class(g: PSL2Element) -> int:
     already cyclically alternating, but can differ by a multiple of 3
     otherwise.
     """
-    sylls = _cyclic_reduce(_syllables(normal_form(g)))
+    sylls = _cyclic_reduce(normal_form(g).syllables())
     return sum(e for kind, e in sylls if kind == 1)
 
 
-def _syllables(nf: NormalForm) -> list[tuple[int, int]]:
-    """Alternating (kind, exp) syllables: kind 0 is A, kind 1 is B^exp."""
-    sylls: list[tuple[int, int]] = []
-    for i, e in enumerate(nf.exponents):
-        if i > 0:
-            sylls.append((0, 0))
-        if e != 0:
-            sylls.append((1, e))
-    return sylls
-
-
 def psl_conjugate(g: PSL2Element, h: PSL2Element) -> bool:
-    """Conjugacy in PSL(2,Z) via cyclic reduction of the free-product word.
+    """Conjugacy in PSL(2,Z): equal canonical class words."""
+    return _class_word(g) == _class_word(h)
+
+
+def _class_word(g: PSL2Element) -> tuple[tuple[int, int], ...]:
+    """The least rotation of the cyclically reduced syllable word of g.
 
     Cyclically reduced words of syllable length >= 2 are conjugate exactly
-    when they are cyclic rotations of each other; the torsion classes
-    (syllable length <= 1) reduce to comparing the single syllable, which
-    enumerates the classes of A, B, B^-1.
+    when they are cyclic rotations of each other, and the torsion classes
+    (syllable length <= 1: the identity, A, B, B^-1) are their own least
+    rotation, so this word is a complete conjugacy invariant.
     """
-    wg = _cyclic_reduce(_syllables(normal_form(g)))
-    wh = _cyclic_reduce(_syllables(normal_form(h)))
-    if len(wg) != len(wh):
-        return False
-    if len(wg) <= 1:
-        return wg == wh
-    for shift in range(len(wg)):
-        if wg[shift:] + wg[:shift] == wh:
-            return True
-    return False
+    w = _cyclic_reduce(normal_form(g).syllables())
+    return tuple(min((w[i:] + w[:i] for i in range(len(w))), default=w))
 
 
 def _cyclic_reduce(sylls: list[tuple[int, int]]) -> list[tuple[int, int]]:
     sylls = list(sylls)
     while len(sylls) >= 2 and sylls[0][0] == sylls[-1][0]:
         kind, e_last = sylls.pop()
-        e_first = sylls[0][1]
-        if kind == 0:
+        e = (e_last + sylls[0][1] + 1) % 3 - 1 if kind == 1 else 0
+        if e == 0:
             sylls.pop(0)
         else:
-            e = (e_last + e_first + 1) % 3 - 1
-            if e == 0:
-                sylls.pop(0)
-            else:
-                sylls[0] = (1, e)
+            sylls[0] = (1, e)
     return sylls
 
 

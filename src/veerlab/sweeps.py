@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from veerlab import burau, farey, linalg, linkinv, symplectic, torus
+from veerlab import burau, farey, linalg, linkinv, poly, symplectic, torus
 from veerlab.braid import BraidWord, concat, conjugate
 from veerlab.modular import (
     PSL2Element,
@@ -293,10 +293,8 @@ def suite_ternary_lemma(count: int, seed: int) -> dict:
 
 def _line_segment(base: linalg.Matrix, direction: linalg.Matrix):
     """Polynomial frame base + t * direction."""
-    from veerlab import poly as P
-
     return [
-        [P.poly([xb, xd]) for xb, xd in zip(rb, rd)]
+        [poly.poly([xb, xd]) for xb, xd in zip(rb, rd)]
         for rb, rd in zip(base, direction)
     ]
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from veerlab import _core, farey
+from veerlab import _core, burau, farey
 from veerlab.braid import (
     BraidWord,
     _word,
@@ -45,6 +45,7 @@ from veerlab.modular import (
     project_b3,
     psl_conjugate,
     rademacher,
+    rademacher_class,
 )
 from veerlab.verdict import Verdict
 
@@ -151,29 +152,15 @@ def verify_theorem_lk(b: BraidWord) -> bool:
 def _reducible_n_m(b: BraidWord) -> tuple[int, int, tuple[int, int]]:
     """Write a reducible b as (sigma_1 sigma_2 sigma_1)^(2n) R_gamma^m.
 
-    Conjugates the parabolic fixed slope to infinity with an explicit
-    SL(2,Z) matrix; the twist count m sits in the lower-left entry (the
-    slope-infinity twist lifts sigma_1, whose image is [[1,0],[-1,1]]),
-    and n follows from lk = 6n + m.  The sign of the conjugated matrix
-    must be (-1)^n, which is asserted.
+    m is the class Rademacher function of the image and n = (lk - m) / 6
+    (see ``right_veering``); gamma is the parabolic fixed slope.
     """
-    m_img = project_b3(b)
-    q, p = parabolic_fixed_slope(m_img)
-    # h = [[-p, q], [-x, -y]] with x q + y p = 1 sends the slope to infinity.
-    x, y = _bezout(q, p)
-    h = SL2Matrix(-p, q, -x, -y)
-    n_mat = h * m_img * h.inverse()
-    if (n_mat.a, n_mat.b, n_mat.d) not in ((1, 0, 1), (-1, 0, -1)):
-        raise AssertionError(f"fixed-slope conjugation failed for {b}")
-    sign = n_mat.a
-    m = -n_mat.c * sign
-    lk = linking_number(b)
-    if (lk - m) % 6 != 0:
+    image = project_b3(b)
+    m = rademacher_class(PSL2Element(image))
+    n, rest = divmod(linking_number(b) - m, 6)
+    if rest != 0:
         raise AssertionError(f"reducible extraction failed for {b}")
-    n = (lk - m) // 6
-    if sign != (1 if n % 2 == 0 else -1):
-        raise AssertionError(f"reducible sign check failed for {b}")
-    return n, m, (q, p)
+    return n, m, parabolic_fixed_slope(image)
 
 
 def _bezout(q: int, p: int) -> tuple[int, int]:
@@ -203,6 +190,20 @@ def right_veering(b: BraidWord) -> Verdict:
     inverse satisfies it the verdict is No (the fractional twist
     coefficients of a pseudo-Anosov and its inverse negate, and both
     right-veering would need both >= 1/2); otherwise Unknown.
+
+    Every number is read from lk, rot and the PSL(2,Z) class word, by two
+    lemmas; the certificate checkers re-derive them by other roads.
+
+    * Reducible: m = rademacher_class(image) and n = (lk - m) / 6.  The
+      square (sigma_1 sigma_2 sigma_1)^2 maps to -I, so the image of
+      (sigma_1 sigma_2 sigma_1)^(2n) R_gamma^m is conjugate to
+      sigma_1-bar^m in PSL(2,Z).  sigma_1-bar = AB, and the cyclically
+      reduced syllable word of (AB)^m is (AB)^m, or (B^-1 A)^|m| when
+      m < 0, so its B-exponent sum is m; lk(R_gamma) = 1 gives lk = 6n + m.
+    * Anosov: rot(b^-1) = -rot(b).  rot = (lk - Phi) / 12 by construction
+      and lk is a homomorphism.  The normal form of g^-1 is the reversed
+      word with its exponents negated (A^-1 = A), which is again a normal
+      form, so Phi(g^-1) = -Phi(g).
     """
     _require_b3(b)
     kind = classify(project_b3(b))
@@ -215,18 +216,15 @@ def right_veering(b: BraidWord) -> Verdict:
         return Verdict.no({"type": "periodic", "lk": lk})
     if kind is Classification.REDUCIBLE:
         n, m, slope = _reducible_n_m(b)
-        cert = {"type": "reducible", "n": n, "m": m, "fixed_slope": slope}
-        if n > 0 or (n == 0 and m >= 0):
-            return Verdict.yes(cert)
-        return Verdict.no(cert)
+        decide = Verdict.yes if n > 0 or (n == 0 and m >= 0) else Verdict.no
+        return decide({"type": "reducible", "n": n, "m": m, "fixed_slope": slope})
     r = rot(b)
     if r >= Fraction(1, 2):
         return Verdict.yes({"type": "anosov", "rot": str(r)})
-    r_inv = rot(invert(b))
-    if r_inv >= Fraction(1, 2):
-        return Verdict.no({"type": "anosov", "rot_of_inverse": str(r_inv)})
+    if -r >= Fraction(1, 2):
+        return Verdict.no({"type": "anosov", "rot_of_inverse": str(-r)})
     return Verdict.unknown(
-        f"anosov with rot={r} and rot(inverse)={r_inv}, both below 1/2; "
+        f"anosov with rot={r} and rot(inverse)={-r}, both below 1/2; "
         "no criterion applies in this band"
     )
 
@@ -259,15 +257,10 @@ def quasipositive_verdict(b: BraidWord, witness: Witness | None = None) -> Verdi
     if witness is not None:
         if b.strands != 3:
             raise ValueError("witness verification needs B_3 (exact word problem)")
-        prod = _witness_product(b.strands, witness)
-        if not braid3_equal(prod, b):
+        if not braid3_equal(_witness_product(b.strands, witness), b):
             raise ValueError("witness product does not equal the braid")
-        return Verdict.yes(
-            {
-                "witness": [[list(c), g] for c, g in witness],
-                "verified_by": "braid3_equal",
-            }
-        )
+        return Verdict.yes({"witness": [[list(c), g] for c, g in witness],
+                            "verified_by": "braid3_equal"})
     if all(letter > 0 for letter in reduced.letters):
         return Verdict.yes({"positive_word": list(reduced.letters)})
     if lk < 0:
@@ -277,9 +270,7 @@ def quasipositive_verdict(b: BraidWord, witness: Witness | None = None) -> Verdi
             if is_identity_braid3(b):
                 return Verdict.yes({"positive_word": []})
             return Verdict.no({"obstruction": "lk_zero_nontrivial", "lk": 0})
-        from veerlab.burau import burau_matrix  # local import, avoids a cycle
-
-        if burau_matrix(b) != _identity_matrix_for(b.strands):
+        if not _burau_trivial(b):
             return Verdict.no(
                 {"obstruction": "lk_zero_nontrivial", "lk": 0,
                  "certified_by": "burau_at_minus_one"}
@@ -307,12 +298,10 @@ def quasipositive_verdict(b: BraidWord, witness: Witness | None = None) -> Verdi
     return Verdict.unknown("no obstruction fired and no witness supplied")
 
 
-def _identity_matrix_for(strands: int) -> tuple[tuple[int, ...], ...]:
-    n = strands if strands % 2 == 1 else strands + 1
-    dim = n - 1
-    return tuple(
-        tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)
-    )
+def _burau_trivial(b: BraidWord) -> bool:
+    """Whether the Burau image of b at -1 is the identity matrix."""
+    rows = burau.burau_matrix(b)
+    return all(x == (i == j) for i, row in enumerate(rows) for j, x in enumerate(row))
 
 
 def dehn_twist_delta(
@@ -361,37 +350,63 @@ def family_psi_check(m: int) -> dict:
     return {"m": m, "psi": psi, "rows": rows, "ok": ok}
 
 
+def _states(cert: dict, key: str, value) -> bool:
+    """Whether the certificate states exactly this value, of its type, at key."""
+    stated = cert.get(key)
+    return type(stated) is type(value) and stated == value
+
+
+def _is_word(letters, strands: int, positive: bool = False) -> bool:
+    """Whether a certificate field is a list of (positive) letters of B_strands."""
+    return isinstance(letters, (list, tuple)) and all(
+        type(x) is int and 0 < (x if positive else abs(x)) < strands for x in letters
+    )
+
+
 def check_right_veering_certificate(b: BraidWord, verdict: Verdict) -> bool:
-    """Independently re-verify a right_veering certificate."""
+    """Independently re-verify a right_veering certificate.
+
+    Each stated number is recomputed and compared.  A certificate made
+    elsewhere that is not a dict, lacks a field or holds one of the wrong
+    type, names another kind than the braid's, or comes with a braid
+    outside B_3, is False, not an error.
+
+    The roads differ from the verdict's: a reducible certificate is checked
+    by rebuilding (sigma_1 sigma_2 sigma_1)^(2n) R_gamma^m from the stated
+    slope (a Bezout conjugator spelled as a braid) and comparing braids,
+    and an Anosov No by the rotation number of the inverted word.
+    """
     cert = verdict.certificate
     if cert is None:
         return verdict.value == "unknown"
-    kind = cert["type"]
+    if not isinstance(cert, dict) or verdict.value == "unknown" or b.strands != 3:
+        return False
+    kind = cert.get("type")
+    if kind != classify(project_b3(b)).value:
+        return False
+    yes = verdict.value == "yes"
     if kind == "periodic":
-        if classify(project_b3(b)) is not Classification.PERIODIC:
-            return False
-        if cert.get("identity"):
-            return is_identity_braid3(b)
-        return cert["lk"] == linking_number(b) and (
-            (verdict.value == "yes") == (cert["lk"] > 0)
-        )
+        if cert.get("identity") is True:
+            return yes and is_identity_braid3(b)
+        lk = linking_number(b)
+        return _states(cert, "lk", lk) and yes == (lk > 0) and (yes or not is_identity_braid3(b))
     if kind == "reducible":
-        n, m = cert["n"], cert["m"]
-        q, p = cert["fixed_slope"]
+        n, m, slope = cert.get("n"), cert.get("m"), cert.get("fixed_slope")
+        if not (isinstance(slope, (list, tuple)) and len(slope) == 2
+                and all(type(x) is int for x in (n, m, *slope))):
+            return False
+        q, p = slope
+        # A genuine m has |m| <= 4 len(b), so a larger one is refused before
+        # the rebuilt word is built: km is rademacher_class of the k-th
+        # power, within 3 of Phi, which has defect 3 and is +-1 on letters.
+        if (abs(m) > 4 * len(b) or 6 * n + m != linking_number(b)
+                or gcd(q, p) != 1 or (q, p) < (0, 0)):
+            return False
         # Rebuild the claimed braid form and compare images and lk.
-        g = gcd(abs(q), abs(p))
-        if g != 1:
-            return False
-        twist = _twist_about_slope(q, p)
-        rebuilt = concat(power(HALF_TWIST_CUBE, 2 * n), power(twist, m))
-        if not braid3_equal(rebuilt, b):
-            return False
-        return (verdict.value == "yes") == (n > 0 or (n == 0 and m >= 0))
-    if kind == "anosov":
-        if verdict.value == "yes":
-            return rot(b) >= Fraction(1, 2)
-        return rot(invert(b)) >= Fraction(1, 2)
-    return False
+        rebuilt = concat(power(HALF_TWIST_CUBE, 2 * n), power(_twist_about_slope(q, p), m))
+        return braid3_equal(rebuilt, b) and yes == (n > 0 or (n == 0 and m >= 0))
+    key, r = ("rot", rot(b)) if yes else ("rot_of_inverse", rot(invert(b)))
+    return _states(cert, key, str(r)) and r >= Fraction(1, 2)
 
 
 def _twist_about_slope(q: int, p: int) -> BraidWord:
@@ -409,51 +424,65 @@ def _twist_about_slope(q: int, p: int) -> BraidWord:
 def _braid_word_for_psl(g: PSL2Element) -> BraidWord:
     """Some 3-braid whose PSL(2,Z) image is g (A -> 121, B -> -1 -2)."""
     letters: list[int] = []
-    for i, e in enumerate(normal_form(g).exponents):
-        if i > 0:
-            letters += [1, 2, 1]
-        if e == 1:
-            letters += [-1, -2]
-        elif e == -1:
-            letters += [2, 1]
+    for kind, e in normal_form(g).syllables():
+        letters += (1, 2, 1) if kind == 0 else (-1, -2) if e == 1 else (2, 1)
     return BraidWord(3, tuple(letters))
 
 
 def check_quasipositive_certificate(b: BraidWord, verdict: Verdict) -> bool:
-    """Independently re-verify a quasipositive_verdict certificate."""
+    """Independently re-verify a quasipositive_verdict certificate.
+
+    Each stated number is recomputed and compared, and so is the
+    inequality text.  A certificate made elsewhere that is not a dict,
+    lacks a field or holds one of the wrong type, names a letter or
+    generator outside the braid group, or needs B_3 for a braid in another
+    B_n, is False, not an error.
+    """
     cert = verdict.certificate
     if cert is None:
         return verdict.value == "unknown"
+    if not isinstance(cert, dict) or verdict.value == "unknown":
+        return False
+    three = b.strands == 3
     if verdict.value == "yes":
         if "witness" in cert:
-            witness = [(tuple(c), g) for c, g in cert["witness"]]
-            return braid3_equal(_witness_product(b.strands, witness), b)
-        letters = cert["positive_word"]
-        if any(l <= 0 for l in letters):
+            witness = cert["witness"]
+            if not (three and isinstance(witness, list) and all(
+                isinstance(pair, list) and len(pair) == 2 and _is_word(pair[0], 3)
+                and _is_word(pair[1:], 3, positive=True) for pair in witness
+            )):
+                return False
+            return braid3_equal(_witness_product(3, witness), b)
+        letters = cert.get("positive_word")
+        if not _is_word(letters, b.strands, positive=True):
             return False
-        if b.strands == 3:
+        if three:
             return braid3_equal(BraidWord(3, tuple(letters)), b)
-        return list(free_reduce(b).letters) == letters
-    obstruction = cert["obstruction"]
+        return list(free_reduce(b).letters) == list(letters)
+    obstruction = cert.get("obstruction")
     lk = linking_number(b)
     if obstruction == "lk_negative":
-        return lk < 0
+        return _states(cert, "lk", lk) and lk < 0
     if obstruction == "lk_zero_nontrivial":
-        if lk != 0:
+        if not (_states(cert, "lk", 0) and lk == 0):
             return False
-        if b.strands == 3:
+        if three:
             return not is_identity_braid3(b)
-        return cert.get("certified_by") == "burau_at_minus_one"
+        return _states(cert, "certified_by", "burau_at_minus_one") and not _burau_trivial(b)
+    if not three:
+        return False
     if obstruction == "lk_one_not_halftwist_class":
-        return lk == 1 and not psl_conjugate(
+        return _states(cert, "lk", 1) and lk == 1 and not psl_conjugate(
             PSL2Element(project_b3(b)), PSL2Element(SIGMA1_BAR)
         )
     if obstruction == "rademacher_vs_rotation":
-        return -phi(b) >= 10 * rot(b) and not is_identity_braid3(b)
+        ph, r = phi(b), rot(b)
+        return (_states(cert, "phi", ph) and _states(cert, "rot", str(r))
+                and _states(cert, "inequality", f"{-ph} >= 10 * {r}")
+                and -ph >= 10 * r and not is_identity_braid3(b))
     if obstruction == "lk2_word_equations":
         if lk != 2 or rot(b) != Fraction(1, 2):
             return False
-        w = farey.turn_word(PSL2Element(project_b3(b)))
-        inner = farey.lk2_nonqp_certificate(w)
-        return inner.value == "yes" and w == cert["W"]
+        inner = farey.lk2_nonqp_certificate(farey.turn_word(PSL2Element(project_b3(b))))
+        return inner.value == "yes" and cert == {"obstruction": obstruction, **inner.certificate}
     return False

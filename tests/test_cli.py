@@ -1,9 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
+import veerlab
 from veerlab import cli, sweeps
 
 W25 = "1 2 1 1 2 1 -1 -1 -1 -1 2 -1 2 -1"
@@ -394,3 +398,17 @@ def test_cli_contract_table(capsys):
             assert payload is None and err.count("\n") == 1, (argv, err)
             prefix = "bound exceeded: " if expected == 3 else "error: "
             assert err.startswith(prefix) and needle in err, (argv, err)
+
+
+def test_every_module_imports_on_its_own():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(veerlab.__file__)))
+    names = sorted(
+        name[:-3] for name in os.listdir(os.path.join(src, "veerlab"))
+        if name.endswith(".py") and name != "__init__.py"
+    )
+    assert {"_core", "cli", "torus"} <= set(names)
+    env = {**os.environ, "PYTHONPATH": src}
+    for name in names:
+        done = subprocess.run([sys.executable, "-c", f"import veerlab.{name}"],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, (name, done.stderr)

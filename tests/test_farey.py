@@ -12,7 +12,6 @@ from veerlab.farey import (
     geodesic_edges,
     invert_turn_word,
     lk2_nonqp_certificate,
-    neighbor,
     rademacher_turns,
     solve_xp_eq_pw,
     turn_word,
@@ -57,32 +56,6 @@ def test_edge_of_examples():
         assert e.b == slope_action(g, SLOPEINF)
     assert edge_of(PSL2Element(SL2_A)) == FareyEdge(SLOPEINF, SLOPE0)
     assert edge_of(PSL2Element(SL2_B)) == FareyEdge(ExtSlope(1, 1), SLOPE0)
-
-
-def test_neighbor_examples():
-    base = FareyEdge(SLOPE0, SLOPEINF)
-    assert neighbor(base, "A") == FareyEdge(SLOPEINF, SLOPE0)
-    assert neighbor(base, "B") == FareyEdge(ExtSlope(1, 1), SLOPE0)
-    assert neighbor(base, "Binv") == FareyEdge(SLOPEINF, ExtSlope(1, 1))
-    with pytest.raises(ValueError):
-        neighbor(base, "C")
-
-
-def test_neighbor_matches_group_multiplication():
-    rng = random.Random(7)
-    moves = {"A": SL2_A, "B": SL2_B, "Binv": SL2_B.inverse()}
-    for _ in range(300):
-        g = random_psl(rng, 25)
-        for name, mat in moves.items():
-            assert neighbor(edge_of(g), name) == edge_of(PSL2Element(g.rep * mat))
-
-
-def test_neighbor_orders():
-    rng = random.Random(8)
-    for _ in range(100):
-        e = edge_of(random_psl(rng, 20))
-        assert neighbor(neighbor(e, "A"), "A") == e
-        assert neighbor(neighbor(neighbor(e, "B"), "B"), "B") == e
 
 
 def test_edge_of_is_injective_on_short_ball():

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from veerlab.braid import (
     braid3_equal,
     concat,
     conjugate,
+    invert,
     linking_number,
     parse_braid,
     power,
@@ -34,6 +36,7 @@ from veerlab.torus import (
     rot,
     verify_theorem_lk,
 )
+from veerlab.verdict import Verdict
 
 W25 = parse_braid("1 2 1 1 2 1 -1 -1 -1 -1 2 -1 2 -1", 3)
 PAPER_WITNESS_M4 = [((2,), 1), ((1,), 2)]  # (s2 s1 s2^-1)(s1 s2 s1^-1)
@@ -318,3 +321,224 @@ def test_decompose_and_phi_make_only_their_kernel_calls(monkeypatch):
             calls.update(word_matrix=0, nf_exponents=0)
             fn(b)
             assert (calls["word_matrix"], calls["nf_exponents"]) == expected, fn
+
+
+def ref_reducible_n_m(b):
+    """The explicit fixed-slope conjugation that right_veering used before it
+    read m from the class word: kept as a reference."""
+    m_img = project_b3(b)
+    q, p = modular.parabolic_fixed_slope(m_img)
+    x, y = torus._bezout(q, p)
+    h = SL2Matrix(-p, q, -x, -y)
+    n_mat = h * m_img * h.inverse()
+    assert (n_mat.a, n_mat.b, n_mat.d) in ((1, 0, 1), (-1, 0, -1))
+    sign = n_mat.a
+    m = -n_mat.c * sign
+    lk = linking_number(b)
+    assert (lk - m) % 6 == 0
+    n = (lk - m) // 6
+    assert sign == (1 if n % 2 == 0 else -1)
+    return n, m, (q, p)
+
+
+def ref_right_veering(b):
+    """right_veering with the reducible numbers from the conjugation and the
+    Anosov No from the inverted word, as before the class-word reading."""
+    kind = classify(project_b3(b))
+    if kind is not Classification.ANOSOV:
+        if kind is Classification.REDUCIBLE:
+            n, m, slope = ref_reducible_n_m(b)
+            cert = {"type": "reducible", "n": n, "m": m, "fixed_slope": slope}
+            return (Verdict.yes if n > 0 or (n == 0 and m >= 0) else Verdict.no)(cert)
+        return right_veering(b)  # the periodic branch did not change
+    r, r_inv = rot(b), rot(invert(b))
+    if r >= Fraction(1, 2):
+        return Verdict.yes({"type": "anosov", "rot": str(r)})
+    if r_inv >= Fraction(1, 2):
+        return Verdict.no({"type": "anosov", "rot_of_inverse": str(r_inv)})
+    return Verdict.unknown(
+        f"anosov with rot={r} and rot(inverse)={r_inv}, both below 1/2; "
+        "no criterion applies in this band"
+    )
+
+
+def test_reducible_numbers_match_the_conjugation_road():
+    rng = random.Random(11)
+    checked = 0
+    for _ in range(30000):
+        b = random_word(rng, 3, 40)
+        if classify(project_b3(b)) is Classification.REDUCIBLE:
+            assert torus._reducible_n_m(b) == ref_reducible_n_m(b), b
+            checked += 1
+    assert checked >= 5000
+
+
+def test_right_veering_matches_the_parent_body():
+    rng = random.Random(7)
+    kinds = {kind: 0 for kind in Classification}
+    values = {"yes": 0, "no": 0, "unknown": 0}
+    for max_len in (8, 16, 30, 60):
+        for _ in range(1000):
+            b = random_word(rng, 3, max_len)
+            v = right_veering(b)
+            assert v.as_json() == ref_right_veering(b).as_json(), b
+            kinds[classify(project_b3(b))] += 1
+            values[v.value] += 1
+    assert min(kinds.values()) > 300 and min(values.values()) > 300
+
+
+def test_rot_of_the_inverse_is_minus_rot():
+    rng = random.Random(3)
+    words = [random_word(rng, 3, 60) for _ in range(5000)]
+    words += [power(HALF_TWIST_CUBE, k) for k in range(-6, 7)]
+    words += [power(BraidWord(3, (1,)), m) for m in range(-12, 13)]
+    for b in words:
+        assert rot(invert(b)) == -rot(b), b
+
+
+class RoadTaken(Exception):
+    pass
+
+
+def test_verdicts_and_checkers_take_different_roads(monkeypatch):
+    rng = random.Random(13)
+    words = {"anosov_no": [], "reducible": [], "anosov_yes": []}
+    for _ in range(2000):
+        b = random_word(rng, 3, 24)
+        v = right_veering(b)
+        kind = (v.certificate or {}).get("type")
+        if kind == "reducible":
+            words["reducible"].append(b)
+        elif kind == "anosov":
+            words["anosov_" + v.value].append(b)
+    assert min(len(found) for found in words.values()) >= 40
+    expected = {b: right_veering(b) for found in words.values() for b in found}
+
+    def road(*args):
+        raise RoadTaken
+
+    # The verdict side builds no inverse word, Bezout pair or matrix in torus.
+    for name in ("invert", "_bezout", "SL2Matrix"):
+        monkeypatch.setattr(torus, name, road)
+    for b, v in expected.items():
+        assert right_veering(b) == v
+    for b in words["reducible"] + words["anosov_no"]:
+        with pytest.raises(RoadTaken):
+            check_right_veering_certificate(b, expected[b])
+    for b in words["anosov_yes"]:
+        assert check_right_veering_certificate(b, expected[b])
+
+
+def _tampered(v, **changes):
+    return Verdict(v.value, {**v.certificate, **changes})
+
+
+def _dropped(v, key):
+    return Verdict(v.value, {k: x for k, x in v.certificate.items() if k != key})
+
+
+def test_checkers_refuse_tampered_and_malformed_certificates():
+    w = parse_braid
+    periodic_yes, periodic_no = w("1 2", 3), w("-1 -1 -2", 3)
+    reducible, identity = w("1 -2 2 -2 -1", 3), BraidWord.identity(3)
+    anosov_yes, anosov_no = W25, invert(W25)
+    lk_one = w("2 2 -1 -2 2 -2 2", 3)
+    family = family_word(4, 10)
+    wide_zero, wide_identity = w("1 -2", 5), w("1 -1", 5)
+    rv = {b: right_veering(b) for b in (periodic_yes, periodic_no, reducible, identity,
+                                        anosov_yes, anosov_no)}
+    qp = {b: quasipositive_verdict(b) for b in (periodic_no, w("1 -2", 3), lk_one, family,
+                                                W25, periodic_yes, wide_zero, w("1 3 2", 5))}
+    witnessed = family_word(2, 4)
+    qp[witnessed] = quasipositive_verdict(witnessed, witness=PAPER_WITNESS_M4)
+    for b, v in rv.items():
+        assert check_right_veering_certificate(b, v), b
+    for b, v in qp.items():
+        assert v.value != "unknown" and check_quasipositive_certificate(b, v), b
+    assert sorted(v.certificate.get("obstruction", v.value) for v in qp.values()) == [
+        "lk2_word_equations", "lk_negative", "lk_one_not_halftwist_class",
+        "lk_zero_nontrivial", "lk_zero_nontrivial", "rademacher_vs_rotation", "yes", "yes",
+        "yes"]
+
+    refused_rv = [
+        (periodic_yes, _tampered(rv[periodic_yes], lk=3)),
+        (periodic_yes, _tampered(rv[periodic_yes], lk="2")),
+        (periodic_no, _tampered(rv[periodic_no], lk=3)),
+        (identity, Verdict.no({"type": "periodic", "lk": 0})),
+        (identity, Verdict.no({"type": "periodic", "identity": True})),
+        (reducible, _tampered(rv[reducible], m=-7)),
+        (reducible, _tampered(rv[reducible], n=1)),
+        (reducible, _tampered(rv[reducible], n=1, m=-7)),
+        (reducible, _tampered(rv[reducible], m=10**9, n=(-1 - 10**9) // 6)),
+        (reducible, _tampered(rv[reducible], fixed_slope=[-1, 1])),
+        (reducible, _tampered(rv[reducible], fixed_slope=[2, -2])),
+        (reducible, _tampered(rv[reducible], fixed_slope="1-1")),
+        (reducible, _tampered(rv[reducible], m="-1")),
+        (reducible, _dropped(rv[reducible], "m")),
+        (reducible, Verdict("yes", rv[reducible].certificate)),
+        (anosov_yes, _tampered(rv[anosov_yes], rot="1")),
+        (anosov_yes, _tampered(rv[anosov_yes], rot=Fraction(1, 2))),
+        (anosov_yes, _tampered(rv[anosov_yes], type="reducible")),
+        (anosov_yes, _dropped(rv[anosov_yes], "type")),
+        (anosov_yes, Verdict("no", {"type": "anosov", "rot_of_inverse": "1/2"})),
+        (anosov_no, _tampered(rv[anosov_no], rot_of_inverse="3/4")),
+        (anosov_no, Verdict("yes", {"type": "anosov", "rot": "1/2"})),
+        (anosov_no, Verdict("unknown", rv[anosov_no].certificate)),
+        (anosov_no, Verdict("no", ["anosov", "1/2"])),
+        (w("1 2", 4), Verdict.yes({"type": "periodic", "lk": 2})),
+    ]
+    refused_qp = [
+        (periodic_no, _tampered(qp[periodic_no], lk=-4)),
+        (periodic_no, _dropped(qp[periodic_no], "obstruction")),
+        (w("1 -2", 3), _tampered(qp[w("1 -2", 3)], lk=1)),
+        (identity, Verdict.no({"obstruction": "lk_zero_nontrivial", "lk": 0})),
+        (wide_zero, _tampered(qp[wide_zero], certified_by="seifert")),
+        (wide_identity, qp[wide_zero]),
+        (lk_one, _tampered(qp[lk_one], lk=2)),
+        (parse_braid("1 2", 4), Verdict.no({"obstruction": "lk_one_not_halftwist_class",
+                                             "lk": 1})),
+        (family, _tampered(qp[family], phi=-11)),
+        (family, _tampered(qp[family], rot="5/4")),
+        (family, _tampered(qp[family], inequality="10 >= 10 * 1/2")),
+        (W25, _tampered(qp[W25], W="LLLLRLRR")),
+        (W25, _tampered(qp[W25], families_checked=[1, 2, 3])),
+        (periodic_yes, _tampered(qp[periodic_yes], positive_word="12")),
+        (periodic_yes, _tampered(qp[periodic_yes], positive_word=[1, 3])),
+        (periodic_yes, _tampered(qp[periodic_yes], positive_word=[1, 2, 1])),
+        (periodic_yes, Verdict.yes({"positive_word": [-1, 2, 1]})),
+        (witnessed, _tampered(qp[witnessed], witness=[[[2], 7], [[1], 2]])),
+        (witnessed, _tampered(qp[witnessed], witness=[[[2], 1], [[1], 1]])),
+        (witnessed, _tampered(qp[witnessed], witness=[["2", 1], [[1], 2]])),
+        (witnessed, _tampered(qp[witnessed], witness=[[[2], 1, 0], [[1], 2]])),
+        (w("1 3", 4), Verdict.yes({"witness": [[[], 1], [[], 3]]})),
+    ]
+    for b, v in refused_rv:
+        assert check_right_veering_certificate(b, v) is False, (b, v)
+    for b, v in refused_qp:
+        assert check_quasipositive_certificate(b, v) is False, (b, v)
+
+
+def test_checkers_let_an_invariant_failure_through(monkeypatch):
+    def broken(b):
+        raise AssertionError("decomposition failed")
+
+    monkeypatch.setattr(torus, "rot", broken)
+    with pytest.raises(AssertionError):
+        check_right_veering_certificate(W25, Verdict.yes({"type": "anosov", "rot": "1/2"}))
+
+
+def test_every_verdict_survives_a_json_round_trip():
+    rng = random.Random(17)
+    checked = 0
+    for strands in (3, 4, 5, 6, 7):
+        for _ in range(400):
+            b = random_word(rng, strands, 16)
+            pairs = [(quasipositive_verdict, check_quasipositive_certificate)]
+            if strands == 3:
+                pairs.append((right_veering, check_right_veering_certificate))
+            for verdict_of, check in pairs:
+                data = json.loads(json.dumps(verdict_of(b).as_json()))
+                v = Verdict(data["value"], data.get("certificate"), data.get("reason", ""))
+                assert check(b, v), (b, data)
+                checked += 1
+    assert checked >= 2000
