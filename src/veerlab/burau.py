@@ -16,12 +16,14 @@ groups embed by adding a trivial strand.
 
 This module is the one place that knows how a letter acts.  The letter
 sigma_i^s is the transvection T = I - s C y^T about C = C_i, with
-y_j = omega(C_j, C), read off the stored integer form.  `_twist_rows`
-applies it on the left (T m changes one row of m) and `_twist_pencil`
-gives its rank-one right action P T = P + x y^T, with the advanced P.
-Dense images are built only on demand (`HomologyRep.image`).  The lift to
-the universal cover runs each letter's twist from I to T: its segment is
-P + t x y^T.
+y_j = omega(C_j, C), read off the stored integer form.  It has one action
+per side, both in place and O(dim) per letter: `_twist_rows` acts on the
+left (T m changes row c of m) and `_twist_cols` on the right (m T changes
+the at most two columns j with y_j != 0).  Burau images and the Meyer
+engine's suffixes grow on the left, the crossing count's prefixes and the
+lift's on the right.  Dense images are built only on demand
+(`HomologyRep.image`).  The lift to the universal cover runs each letter's
+twist from I to T: its segment is P + t (P T - P).
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ __all__ = [
 # Largest strand count with a representation (even words embed one strand
 # up, so B_n is served for every n <= MAX_STRANDS).  The engines keep
 # dim x dim integer matrices, dim = strands - 1, so time and memory grow
-# quadratically: a one-letter `invariants` report takes about 3 s and
-# 102 MB in B_1601, and 9-13 s and 333 MB in B_3201 (Python 3.11, 2 vCPU).
+# quadratically: a one-letter `invariants` report takes about 2 s and
+# 81 MB in B_1601, and 6.5 s and 265 MB in B_3201 (Python 3.11, 2 vCPU).
 MAX_STRANDS = 3201
 # Largest strand count with a dense `Fraction` space (`symplectic_space`),
 # which the `meyer` command, `verify_eq_signature` and the chart engine
@@ -160,16 +162,16 @@ def _twist_rows(form, letter: int, m: list[list[int]]) -> None:
     m[c] = row
 
 
-def _twist_pencil(
-    form, letter: int, p: list[list[int]]
-) -> tuple[list[int], list[int], list[list[int]]]:
-    """(x, y, P T_C^s) with P T_C^s = P + x y^T: x = -s P C and y_j = omega(C_j, C).
-
-    P is left as it is; the advanced prefix is a new matrix."""
+def _twist_cols(form, letter: int, m: list[list[int]]) -> None:
+    """Replace m by m T_C^s in place: only the columns j with omega(C_j, C) != 0
+    change, by -s omega(C_j, C) column c (column c itself stays, as
+    omega(C, C) = 0)."""
     s, c = _letter(letter)
-    x = [-s * row[c] for row in p]
-    y = [row[c] for row in form]
-    return x, y, [[q + xi * yj for q, yj in zip(row, y)] for row, xi in zip(p, x)]
+    for j, f in enumerate(form):
+        if f[c]:
+            g = s * f[c]
+            for row in m:
+                row[j] -= g * row[c]
 
 
 @dataclass(frozen=True)
@@ -184,20 +186,21 @@ class SymplecticLift:
 
 
 def lift(b: BraidWord) -> SymplecticLift:
-    """Lift of the word: segment j is P + t x y^T, from the prefix image P
-    to P T, with (x, y) the letter's twist pencil (`_twist_pencil`).  As
-    y^T C = 0, the one-letter lifts of sigma_i and its inverse are
-    pointwise inverse."""
+    """Lift of the word: segment j is P + t (P T - P), from the prefix image
+    P to P T (`_twist_cols`).  P T - P = -s (P C) y^T with y_j =
+    omega(C_j, C); as y^T C = 0, the one-letter lifts of sigma_i and its
+    inverse are pointwise inverse."""
     b = _odd_word(b)
     form = homology_rep(b.strands).form
     dim = b.strands - 1
     prefix = [[int(i == j) for j in range(dim)] for i in range(dim)]
     segments = []
     for letter in b.letters:
-        x, y, advanced = _twist_pencil(form, letter, prefix)
+        advanced = [list(row) for row in prefix]
+        _twist_cols(form, letter, advanced)
         segments.append(tuple(
-            tuple(poly.poly([p, xi * yj]) for p, yj in zip(row, y))
-            for row, xi in zip(prefix, x)
+            tuple(poly.poly([p, q - p]) for p, q in zip(row, arow))
+            for row, arow in zip(prefix, advanced)
         ))
         prefix = advanced
     if not segments:

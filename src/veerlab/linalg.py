@@ -7,16 +7,16 @@ Gaussian elimination gives.  Inside, they clear denominators (a row, or a
 column of a right factor, scaled by the lcm of its denominators) and work
 on ints: dot products, Bareiss elimination for det, and fraction-free
 Gauss-Jordan with gcd-reduced rows (`echelon`) for the rest.  The integer
-entries make no Fraction: `echelon`, `int_mul`, `back_substitution` (read
-by `particular_solution`, `int_nullspace` and `linkinv`'s crossing counts)
-and `signature`, which clears a Fraction matrix once (`cleared_matrix`)
-and takes ints as they are.  No floating point is used anywhere.
+kernels make no Fraction: `echelon` itself, which `linkinv` runs once per
+letter on [M - I | C] for both closure engines, `int_mul`, `int_nullspace`
+(the kernel read off one `echelon`) and `signature`, which clears a
+Fraction matrix once (`cleared_matrix`) and takes ints as they are.  No
+floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter, mul
@@ -39,8 +39,6 @@ __all__ = [
     "solve",
     "inverse",
     "nullspace",
-    "back_substitution",
-    "particular_solution",
     "int_nullspace",
     "signature",
     "is_symmetric",
@@ -213,44 +211,22 @@ def nullspace(m: Matrix) -> list[list[Fraction]]:
     return basis
 
 
-def back_substitution(a, b) -> tuple[int, list[int] | None, Iterator[list[int]], int]:
-    """(rank a, x, kernel, den) from one `echelon` of [a | b] (integer a
-    and b), den > 0 the lcm of a's pivots.  x / den solves a x = b with the
-    free variables zero (x_p = row[b] den / row[p]), or x is None when a
-    pivot falls in column b.  The generator kernel yields den times each
-    `nullspace` vector of a (den at its free column f, -row[f] den / row[p]
-    at each pivot p); a caller that reads only x builds no kernel vector."""
-    cols = len(a[0]) if a else 0
-    rows, pivots = echelon([[*row, bi] for row, bi in zip(a, b)])
-    basis = [(row, p) for row, p in zip(rows, pivots) if p < cols]
-    den = lcm(*(row[p] for row, p in basis))
-    x = None
-    if len(basis) == len(pivots):
-        x = [0] * cols
-        for row, p in basis:
-            x[p] = row[cols] * (den // row[p])
-
-    def kernel():
-        for f in sorted(set(range(cols)).difference(pivots)):
-            v = [0] * cols
-            v[f] = den
-            for row, p in basis:
-                v[p] = -row[f] * (den // row[p])
-            yield v
-
-    return len(basis), x, kernel(), den
-
-
-def particular_solution(a, b) -> tuple[list[int], int] | None:
-    """(x, den) with a (x / den) = b, den > 0 and the free variables zero,
-    for integer a and b; None when a x = b is inconsistent."""
-    _, x, _, den = back_substitution(a, b)
-    return None if x is None else (x, den)
-
-
 def int_nullspace(m) -> list[list[int]]:
-    """den times the `nullspace` basis of an integer matrix, as ints."""
-    return list(back_substitution(m, [0] * len(m))[2])
+    """den times the `nullspace` basis of an integer matrix, as ints, read
+    off one `echelon` of m: den > 0 is the lcm of the pivots, and the
+    vector of free column f has den at f and -row[f] den / row[p] at each
+    pivot column p."""
+    cols = len(m[0]) if m else 0
+    rows, pivots = echelon(m)
+    den = lcm(*(row[p] for row, p in zip(rows, pivots)))
+    basis = []
+    for f in sorted(set(range(cols)).difference(pivots)):
+        v = [0] * cols
+        v[f] = den
+        for row, p in zip(rows, pivots):
+            v[p] = -row[f] * (den // row[p])
+        basis.append(v)
+    return basis
 
 
 def signature(m: Matrix) -> int:

@@ -5,16 +5,18 @@ the closed braid (one disk per strand, one band per letter; H_1 basis from
 consecutive same-column band pairs) and takes the signature of V + V^T.
 The second engine never sees the diagram: it factors the braid into
 letters, maps them by Burau at -1, and accumulates Meyer cocycle values,
-using that each letter closes to an unknot of signature zero.  Each term
-pairs one letter, a rank-one twist, with the integer image of the rest of
-the word, so it is one sign read off one integer solve (`meyer_letter`);
-`invariants` and `signature` use it.  Turaev's closed form
+using that each letter closes to an unknot of signature zero.  The Maslov
+index of the lifted path, for sign = -lk + 2 mu, is counted by crossings
+in the same 2n-dimensional space.  Both engines ask one question per
+letter: is its twist curve C in im(M - I), M the integer image of the
+suffix (`meyer_letter`) or of the prefix (`maslov_of_word`)?  One
+`linalg.echelon` of [M - I | C] (`_image_solve`) answers it.  The suffix
+grows by the letter's left action, the prefix by its right action
+(`burau._twist_rows`, `burau._twist_cols`).  Turaev's closed form
 (`symplectic.meyer_closed_form`) serves general pairs (`meyer`,
-`verify_eq_signature`) and, in the meyer-cocycle sweep, cross-checks the
-rank-one term; it takes the integer Burau images as they are and runs on
-ints, with no inverse.  The Maslov index of the lifted path, for sign = -lk +
-2 mu, is counted by crossings in the same 2n-dimensional space; the
-doubled-space chart engine cross-checks it.
+`verify_eq_signature`) and cross-checks the rank-one term in the
+meyer-cocycle sweep; the doubled-space chart engine (`maslov_by_charts`)
+cross-checks the crossing count.
 
 Sign conventions are calibrated so the positive Hopf link (closure of
 sigma_1^2) has signature -1 and the right trefoil -2; the dual-engine
@@ -24,7 +26,7 @@ equality on random words is the standing cross-check.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
+from math import lcm
 
 from veerlab import burau, linalg, symplectic
 from veerlab.braid import BraidWord, linking_number
@@ -143,16 +145,15 @@ def meyer_letter(form, letter: int, suffix) -> int:
     in the radical of Q; this is also why omega(a, C) does not depend on
     the choice of a.  What remains is Q(a, a) = s - omega(a, C).
 
-    One fraction-free elimination of [B - I | C] (`linalg.particular_solution`)
-    gives a = x / den, so the sign is that of s den - sum_j x_j omega(C_j, C).
+    `_image_solve` gives omega(a, C) = w / den, so the sign is that of
+    s den - w.
     """
     s, c = burau._letter(letter)
-    target = [int(i == c) for i in range(len(suffix))]
-    solution = linalg.particular_solution(_minus_identity(suffix), target)
+    solution = _image_solve(form, suffix, c)[1]
     if solution is None:
         return 0
-    x, den = solution
-    d = s * den - sum(xj * row[c] for xj, row in zip(x, form))
+    w, den = solution
+    d = s * den - w
     return (d > 0) - (d < 0)
 
 
@@ -163,7 +164,7 @@ def maslov_of_word(b: BraidWord) -> Fraction:
     the prefix and N v = -s omega(v, C) C is the letter's rank-one twist
     generator (C = C_{|letter|}, s the letter's sign).  So Psi(t) - I is
     the pencil A + t x y^T with A = P - I, x = -s P C and y^T v =
-    omega(v, C) (`burau._twist_pencil`).  Proof sketch (Robbin-Salamon, Topology 32, 1993): the
+    omega(v, C).  Proof sketch (Robbin-Salamon, Topology 32, 1993): the
     index of the graph path against the diagonal counts crossings, the t
     with Psi(t) - I singular.  On ker(Psi(t) - I) the crossing form is
     s omega(u, C)^2 (oriented so that sigma_1 has mu = 1/2, as in the
@@ -171,9 +172,25 @@ def maslov_of_word(b: BraidWord) -> Fraction:
     crossing adds s times the kernel dimension beyond the generic one,
     halved at the ends t = 0, 1.  The generic kernel is the persistent
     one, ker(P - I) intersect C^omega: a nondegenerate crossing would
-    persist, but nondegenerate crossings are isolated.  The rank of a
-    rank-one pencil is generic except at one t* at most, where it drops by
-    exactly 1 (see `_pencil`).  A segment thus contributes
+    persist, but nondegenerate crossings are isolated.
+
+    The pencil is read from `_image_solve`, that is from whether C lies
+    in im A, with these facts:
+
+    * x = -s P C = -s (A C + C), so x is in col A exactly when C is.
+    * For a fixed vector k of P, omega((P - I) v, k) = omega(P v, P k) -
+      omega(v, k) = 0; counting dimensions, im(P - I) = ker(P - I)^omega.
+      So y is orthogonal to ker A exactly when C is in im A.
+    * If not, rank(A + t x y^T) = rank A + 1 for every t != 0, and there
+      is no interior drop.
+    * If A a' = C, then A a = x for a = -s (C + a'), and y^T a =
+      -s omega(a', C) because omega(C, C) = 0.  So the generic rank is
+      rank A, and it drops by exactly 1 at t* = 1 / (s omega(a', C)).
+      omega(a', C) = w / den does not depend on the choice of a', as
+      omega(k, C) = 0 for every fixed k.  The drop is interior exactly
+      when s w > den; s w = den puts it at the end t = 1.
+
+    A segment thus contributes
 
         s [(r_g - r(0))/2 + (r_g - r(1))/2 + (1 if 0 < t* < 1)],
 
@@ -190,43 +207,41 @@ def maslov_of_word(b: BraidWord) -> Fraction:
     prefix = [[int(i == j) for j in range(dim)] for i in range(dim)]
     segments = []  # (s, r(0), r_g, whether 0 < t* < 1) per letter
     for letter in b.letters:
-        x, y, advanced = burau._twist_pencil(form, letter, prefix)
-        segments.append((burau._letter(letter)[0], *_pencil(_minus_identity(prefix), x, y)))
-        prefix = advanced
-    # r(1) of a segment is r(0) of the next; the last one's is rank(g - I).
-    ends = [seg[1] for seg in segments[1:]] + [linalg.rank(_minus_identity(prefix))]
+        s, c = burau._letter(letter)
+        r0, solution = _image_solve(form, prefix, c)
+        if solution is None:
+            segments.append((s, r0, r0 + 1, False))
+        else:
+            w, den = solution
+            segments.append((s, r0, r0, s * w > den))
+        burau._twist_cols(form, letter, prefix)
+    # r(1) of a segment is r(0) of the next; the last one's is rank(g - I),
+    # which the solve reads for any column.
+    ends = [seg[1] for seg in segments[1:]] + [_image_solve(form, prefix, 0)[0]]
     two_mu = sum(_segment_term(*seg, r1) for seg, r1 in zip(segments, ends))
     return Fraction(two_mu, 2)
 
 
-def _minus_identity(m: list[list[int]]) -> list[list[int]]:
-    return [[p - (i == j) for j, p in enumerate(row)] for i, row in enumerate(m)]
+def _image_solve(form, m, c: int) -> tuple[int, tuple[int, int] | None]:
+    """(rank(M - I), (w, den) or None): is C = C_{c+1} in im(M - I)?
 
-
-def _pencil(a, x, y) -> tuple[int, int, bool]:
-    """(rank A, generic rank of A + t x y^T, whether it drops at a 0 < t* < 1).
-
-    With x = A a and y^T = z^T A, A + t x y^T = (I + t x z^T) A loses rank
-    exactly where 1 + t y^T a = 0, and by 1 (x != 0 lies in col A); if
-    only one of x in col A, y in row A holds the rank is rank A for all t;
-    if neither, rank A + 1 for t != 0.  Since row A = (ker A)^perp, y in
-    row A means y^T k = 0 for every k in ker A.
-
-    All of it comes from one fraction-free elimination of the integer
-    matrix [A | x] (`linalg.back_substitution`): its pivots in the first dim
-    columns give rank A, a pivot in column dim means x is not in col A, and
-    each free column f of A gives the kernel vector k with k_f = den and
-    k_p = -den row[f] / row[p] for the pivot row of column p, den being the
-    lcm of the pivots (k is integral).  The particular solution with free
-    variables zero is a_p = row[dim] / row[p], so y^T a = q / den with q =
-    sum_p y_p row[dim] (den / row[p]).  The drop point is t* = -1 / (y^T a)
-    = -den / q, and as den > 0, 0 < t* < 1 exactly when q < -den.
+    One `linalg.echelon` of the integer matrix [M - I | C].  A pivot in the
+    last column means no solution.  Otherwise z_p = row[dim] / row[p] at
+    each pivot column p (free variables zero) solves (M - I) z = C, and
+    w / den = omega(z, C).  Only the columns p with omega(C_p, C) != 0
+    enter, so den > 0 is the lcm of their pivots alone: a positive
+    rescaling of (w, den) moves neither sign(s den - w) nor s w > den.
     """
-    r0, part, kernel, den = linalg.back_substitution(a, x)
-    y_in = all(sum(map(mul, y, k)) == 0 for k in kernel)
-    if part is None:
-        return r0, r0 if y_in else r0 + 1, False
-    return r0, r0, y_in and sum(map(mul, y, part)) < -den  # y^T a = q / den
+    dim = len(m)
+    # Row i of [M - I | C]: row i of M, 1 less on the diagonal, then C_i.
+    rows, pivots = linalg.echelon(
+        [[*row[:i], row[i] - 1, *row[i + 1:], int(i == c)] for i, row in enumerate(m)]
+    )
+    if pivots and pivots[-1] == dim:
+        return len(pivots) - 1, None
+    terms = [(row[dim], row[p], form[p][c]) for row, p in zip(rows, pivots) if form[p][c]]
+    den = lcm(*(q for _, q, _ in terms))
+    return len(pivots), (sum(z * (den // q) * f for z, q, f in terms), den)
 
 
 def _segment_term(s: int, r0: int, r_g: int, inner: bool, r1: int) -> int:

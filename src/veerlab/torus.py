@@ -149,17 +149,16 @@ def verify_theorem_lk(b: BraidWord) -> bool:
     return linking_number(b) == 12 * rot(b) + phi(b)
 
 
-def _reducible_n_m(b: BraidWord) -> tuple[int, int, tuple[int, int]]:
+def _reducible_n_m(image: SL2Matrix, lk: int) -> tuple[int, int, tuple[int, int]]:
     """Write a reducible b as (sigma_1 sigma_2 sigma_1)^(2n) R_gamma^m.
 
     m is the class Rademacher function of the image and n = (lk - m) / 6
     (see ``right_veering``); gamma is the parabolic fixed slope.
     """
-    image = project_b3(b)
     m = rademacher_class(PSL2Element(image))
-    n, rest = divmod(linking_number(b) - m, 6)
+    n, rest = divmod(lk - m, 6)
     if rest != 0:
-        raise AssertionError(f"reducible extraction failed for {b}")
+        raise AssertionError(f"reducible extraction failed for image {image} with lk {lk}")
     return n, m, parabolic_fixed_slope(image)
 
 
@@ -206,7 +205,8 @@ def right_veering(b: BraidWord) -> Verdict:
       form, so Phi(g^-1) = -Phi(g).
     """
     _require_b3(b)
-    kind = classify(project_b3(b))
+    image = project_b3(b)
+    kind = classify(image)
     lk = linking_number(b)
     if kind is Classification.PERIODIC:
         if lk > 0:
@@ -215,7 +215,7 @@ def right_veering(b: BraidWord) -> Verdict:
             return Verdict.yes({"type": "periodic", "identity": True})
         return Verdict.no({"type": "periodic", "lk": lk})
     if kind is Classification.REDUCIBLE:
-        n, m, slope = _reducible_n_m(b)
+        n, m, slope = _reducible_n_m(image, lk)
         decide = Verdict.yes if n > 0 or (n == 0 and m >= 0) else Verdict.no
         return decide({"type": "reducible", "n": n, "m": m, "fixed_slope": slope})
     r = rot(b)

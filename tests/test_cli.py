@@ -408,7 +408,12 @@ def test_every_module_imports_on_its_own():
     )
     assert {"_core", "cli", "torus"} <= set(names)
     env = {**os.environ, "PYTHONPATH": src}
+    # Each fresh interpreter also resolves every name in the module's
+    # __all__, so a name removed from the module but left in __all__ fails.
+    check = ("import importlib, sys; m = importlib.import_module(sys.argv[1]); "
+             "missing = [n for n in getattr(m, '__all__', ()) if not hasattr(m, n)]; "
+             "sys.exit(f'stale __all__: {missing}' if missing else 0)")
     for name in names:
-        done = subprocess.run([sys.executable, "-c", f"import veerlab.{name}"],
+        done = subprocess.run([sys.executable, "-c", check, f"veerlab.{name}"],
                               env=env, capture_output=True, text=True)
         assert done.returncode == 0, (name, done.stderr)

@@ -125,8 +125,9 @@ def ref_signature(m):
 
 
 def ref_particular_solution(a, b):
-    """`particular_solution` as it was before the shared back-substitution:
-    its own lcm back-substitution over an `echelon` of [a | b]."""
+    """(x, den) with a (x / den) = b and the free variables zero, or None
+    when a x = b is inconsistent: an lcm back-substitution over an
+    `echelon` of [a | b], kept as the reference for the per-letter solve."""
     cols = len(a[0]) if a else 0
     rows, pivots = linalg.echelon([list(row) + [bi] for row, bi in zip(a, b)])
     if pivots and pivots[-1] == cols:
@@ -139,7 +140,8 @@ def ref_particular_solution(a, b):
 
 
 def ref_int_nullspace(m):
-    """`int_nullspace` as it was before the shared back-substitution."""
+    """den times each `nullspace` vector of an integer matrix, den the lcm of
+    its `echelon` pivots: the reference for `int_nullspace`."""
     cols = len(m[0]) if m else 0
     rows, pivots = linalg.echelon(m)
     den = lcm(*(row[p] for row, p in zip(rows, pivots)))
@@ -384,39 +386,32 @@ def test_signature_plain_int_input():
 
 def test_integer_callers_pass_rows_straight_to_the_elimination(monkeypatch):
     # echelon takes integer rows; rank, solve and nullspace clear Fraction
-    # rows first, while particular_solution, int_nullspace and the
-    # crossing-count pencil hand over their ints without a clearing pass.
-    from veerlab import linkinv
+    # rows first, while int_nullspace and the closure engines' per-letter
+    # solve hand over their ints without a clearing pass.
+    from veerlab import burau, linkinv
+    from veerlab.sweeps import random_word
 
     rng = random.Random(63)
-    systems, pencils = [], []
+    systems, letters = [], []
     for _ in range(60):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-        a = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
-        systems.append((a, [rng.randint(-3, 3) for _ in range(rows)]))
-        dim = rng.randint(1, 5)
-        pencils.append((
-            [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)],
-            [rng.randint(-2, 2) for _ in range(dim)],
-            [rng.randint(-2, 2) for _ in range(dim)],
-        ))
-    expected = [linalg.particular_solution(a, b) for a, b in systems]
-    kernels = [linalg.int_nullspace(a) for a, _ in systems]
-    drops = [linkinv._pencil(*p) for p in pencils]
-    for (a, b), sol in zip(systems, expected):
+        systems.append([[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)])
+        n = rng.choice([3, 5, 7])
+        w = random_word(rng, n, 8)
+        letters.append((burau.homology_rep(n).form, rng.randint(1, n - 1), burau.burau_matrix(w)))
+    kernels = [linalg.int_nullspace(a) for a in systems]
+    solves = [linkinv._image_solve(form, m, c - 1) for form, c, m in letters]
+    for a, kernel in zip(systems, kernels):
         assert linalg.rank(linalg.frac_matrix(a)) == len(ref_echelon(linalg.frac_matrix(a))[1])
-        if sol is not None:
-            x, den = sol
-            assert [sum(r * xi for r, xi in zip(row, x)) for row in a] == [den * bi for bi in b]
+        assert all(sum(map(mul, row, v)) == 0 for row in a for v in kernel)
 
     def forbidden(m):
         raise AssertionError("integer rows sent through a clearing pass")
 
     monkeypatch.setattr(linalg, "_cleared", forbidden)
     monkeypatch.setattr(linalg, "cleared_matrix", forbidden)
-    assert [linalg.particular_solution(a, b) for a, b in systems] == expected
-    assert [linalg.int_nullspace(a) for a, _ in systems] == kernels
-    assert [linkinv._pencil(*p) for p in pencils] == drops
+    assert [linalg.int_nullspace(a) for a in systems] == kernels
+    assert [linkinv._image_solve(form, m, c - 1) for form, c, m in letters] == solves
 
 
 def int_system(rng, k, rows, cols):
@@ -439,35 +434,22 @@ def int_system(rng, k, rows, cols):
     return a, draw(1, rows)[0]
 
 
-def test_back_substitution_readers_match_their_own_eliminations():
-    # particular_solution, int_nullspace and the crossing-count pencil read
-    # one shared back-substitution; each agrees with the body it replaced
-    # (the pencil with its rational reading) on 2000 systems of sizes 1-8.
-    from test_linkinv import ref_pencil
-    from veerlab import linkinv
-
+def test_int_nullspace_matches_the_reference_kernel():
+    # int_nullspace reads its kernel straight off one echelon of m: it agrees
+    # with the reference, and each vector is one common den > 0 times the
+    # Fraction nullspace vector, on 2000 systems of sizes 1-8.
     rng = random.Random(64)
-    seen = dict.fromkeys(("inconsistent", "deficient", "big", "rank_up", "interior"), 0)
+    seen = dict.fromkeys(("full", "deficient", "big"), 0)
     for k in range(2000):
-        a, b = int_system(rng, k, rng.randint(1, 8), rng.randint(1, 8))
-        solution = ref_particular_solution(a, b)
-        assert linalg.particular_solution(a, b) == solution
-        kernel = ref_int_nullspace(a)
-        assert linalg.int_nullspace(a) == kernel
-        if solution is not None:
-            x, den = solution
-            assert [sum(map(mul, row, x)) for row in a] == [den * bi for bi in b]
-        seen["inconsistent"] += solution is None
+        a, _ = int_system(rng, k, rng.randint(1, 8), rng.randint(1, 8))
+        kernel = linalg.int_nullspace(a)
+        assert kernel == ref_int_nullspace(a)
+        null = linalg.nullspace(linalg.frac_matrix(a))
+        assert len(kernel) == len(null)
+        dens = {next(x for x in v if x) / next(x for x in u if x) for v, u in zip(kernel, null)}
+        assert len(dens) <= 1 and all(d > 0 for d in dens)
+        assert all([d * x for x in u] == v for d in dens for v, u in zip(kernel, null))
+        seen["full"] += not kernel
         seen["deficient"] += len(kernel) > len(a[0]) - min(len(a), len(a[0]))
         seen["big"] += max(abs(e) for row in a for e in row) > 10**6
-        dim = rng.randint(1, 8)
-        a, x = int_system(rng, k, dim, dim)
-        w = [rng.randint(-2, 2) for _ in range(dim)]
-        # y in row A (y = A^T w) on every other k, otherwise random.
-        y = [sum(map(mul, col, w)) for col in zip(*a)] if k % 2 else w
-        r0, r_g, t_star = ref_pencil(a, x, y)
-        inner = t_star is not None and 0 < t_star < 1
-        assert linkinv._pencil(a, x, y) == (r0, r_g, inner)
-        seen["rank_up"] += r_g > r0
-        seen["interior"] += inner
     assert all(seen.values()), seen

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 from math import gcd
@@ -212,11 +213,20 @@ def test_crossing_count_rejects_a_rank_two_drop(monkeypatch):
     w = parse_braid("1 2", 3)
     g = burau.burau_matrix(w)
     assert linalg.rank([[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(g)]) == 2
-    real_rank = linalg.rank
-    # Forge the final rank two below the generic rank of the last segment.
-    monkeypatch.setattr(linalg, "rank", lambda m: real_rank(m) - 2)
+    real_solve = linkinv._image_solve
+    ranks = []
+
+    def forged(form, m, c):
+        # Forge the final rank, rank(g - I) after the last letter, two below
+        # the generic rank of the last segment.
+        r, solution = real_solve(form, m, c)
+        ranks.append(r)
+        return (r - 2 if len(ranks) == len(w) + 1 else r), solution
+
+    monkeypatch.setattr(linkinv, "_image_solve", forged)
     with pytest.raises(AssertionError, match="rank drop"):
         linkinv.maslov_of_word(w)
+    assert ranks == [0, 1, 2]  # one solve per letter, then the final rank
     with pytest.raises(AssertionError, match="rank drop"):
         linkinv._segment_term(1, 3, 3, None, 1)
 
@@ -256,6 +266,7 @@ def _letter_pairs():
 
 
 def test_rank_one_term_matches_the_closed_form():
+    from test_linalg import ref_particular_solution
     from veerlab import burau, linalg, symplectic
 
     values = []
@@ -273,7 +284,7 @@ def test_rank_one_term_matches_the_closed_form():
         values.append(term)
         b_minus = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(suffix)]
         target = [int(i == abs(letter) - 1) for i in range(n - 1)]
-        inconsistent += linalg.particular_solution(b_minus, target) is None
+        inconsistent += ref_particular_solution(b_minus, target) is None
     assert len(values) >= 300
     assert {-1, 0, 1} <= set(values)
     assert inconsistent > 0
@@ -316,8 +327,8 @@ def test_seifert_signature_matches_the_reference_elimination():
 
 
 def ref_pencil(a, x, y):
-    """The rational reading of `_pencil`: (rank A, generic rank, t* or None),
-    from a Fraction nullspace of [A | x]."""
+    """The rational reading of a rank-one pencil A + t x y^T: (rank A,
+    generic rank, t* or None), from a Fraction nullspace of [A | x]."""
     from veerlab import linalg
 
     dim = len(a)
@@ -341,27 +352,124 @@ def ref_pencil(a, x, y):
     return r0, r0, (-1 / q if q else None)
 
 
-def test_integer_pencil_matches_the_rational_reading():
-    # One dimension: a + t x y drops at t* = -a / (x y).  t* = 1 lies on
-    # the boundary, which the segment ends count, not the interior.
-    for a, x, y, inner in [(1, 1, -1, False), (1, 1, -2, True), (2, 1, -1, False),
-                           (1, 1, 1, False), (-2, 1, 4, True), (-2, -1, -4, True),
-                           (3, 1, -3, False), (3, 2, -3, True), (0, 1, 1, False)]:
-        assert linkinv._pencil([[a]], [x], [y])[2] is inner, (a, x, y)
-    rng = random.Random(63)
-    boundary = interior = 0
-    for k in range(600):
-        dim = rng.randint(1, 5)
-        a = [[rng.randint(-2, 2) * (rng.random() < 0.6) for _ in range(dim)] for _ in range(dim)]
-        if k % 3 == 0:  # rank deficient
-            a[rng.randrange(dim)] = [0] * dim
-        x = [rng.randint(-2, 2) for _ in range(dim)]
-        y = [rng.randint(-2, 2) for _ in range(dim)]
-        r0, r_g, t_star = ref_pencil(a, x, y)
-        assert linkinv._pencil(a, x, y) == (r0, r_g, t_star is not None and 0 < t_star < 1)
-        boundary += t_star == 1
-        interior += t_star is not None and 0 < t_star < 1
-    assert boundary > 0 and interior > 0
+@functools.lru_cache(maxsize=None)
+def _engine_words():
+    """2100 words in B_3-B_11 for the per-letter solve: 1400 random ones and
+    700 structured ones (powers of Delta and of one letter, w w^-1,
+    conjugates and powers of short words), embedded in odd strand counts."""
+    from veerlab import burau
+    from veerlab.braid import invert, power
+
+    rng = random.Random(65)
+    words = [random_word(rng, 3 + k % 9, 12 if k % 9 < 5 else 8) for k in range(1400)]
+    for k in range(700):
+        n = 3 + k % 9
+        i = rng.randint(1, n - 1)
+        g, h = random_word(rng, n, 5), random_word(rng, n, 4)
+        delta = BraidWord(n, tuple(j for top in range(n - 1, 0, -1) for j in range(1, top + 1)))
+        words.append([
+            power(delta, rng.choice((-1, 1)) * (1 + (n <= 5))),
+            BraidWord(n, (rng.choice((-i, i)),) * rng.randint(2, 8)),
+            concat(g, invert(g)),
+            conjugate(h, g),
+            power(h, rng.randint(2, 3)),
+        ][k % 5])
+    return [burau._odd_word(w) for w in words]
+
+
+def _prefixes():
+    """(form, letter, P) for every letter of every engine word, P the image
+    of the letters before it, each built by `burau_matrix` on its own."""
+    from veerlab import burau
+
+    for w in _engine_words():
+        form = burau.homology_rep(w.strands).form
+        for k, letter in enumerate(w.letters):
+            yield form, letter, burau.burau_matrix(BraidWord(w.strands, w.letters[:k]))
+
+
+def _minus_id(m):
+    return [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(m)]
+
+
+def test_integer_pencil_matches_the_rational_reading(monkeypatch):
+    # Every segment the crossing count reads from the shared solve matches
+    # the rational reading of its pencil P - I + t x y^T, x = -s P C and
+    # y_j = omega(C_j, C), on every prefix P of the engine words.  t* = 1
+    # lies on the boundary, which the segment ends count, not the interior.
+    from veerlab import burau
+
+    real_term = linkinv._segment_term
+    seen = []
+    monkeypatch.setattr(linkinv, "_segment_term", lambda *a: seen.append(a) or real_term(*a))
+    for w in _engine_words():
+        linkinv.maslov_of_word(w)
+    counts = dict.fromkeys(("rank_up", "interior", "boundary"), 0)
+    refs = []
+    for form, letter, p in _prefixes():
+        s, c = burau._letter(letter)
+        x = [-s * row[c] for row in p]
+        y = [row[c] for row in form]
+        r0, r_g, t_star = ref_pencil(_minus_id(p), x, y)
+        refs.append((s, r0, r_g, t_star is not None and 0 < t_star < 1))
+        counts["rank_up"] += r_g > r0
+        counts["interior"] += refs[-1][3]
+        counts["boundary"] += t_star == 1
+    assert len(refs) >= 10000
+    assert [term[:4] for term in seen] == refs
+    assert all(counts.values()), counts
+
+
+def test_image_solve_matches_the_reference_solution_on_every_suffix():
+    # The Meyer engine's question on every suffix B of the engine words:
+    # the shared solve's rank and omega(a, C) = w / den against a plain
+    # particular solution of (B - I) a = C, and the term's sign with it.
+    from test_linalg import ref_particular_solution
+    from veerlab import burau, linalg
+
+    values = {-1: 0, 0: 0, 1: 0}
+    checked = 0
+    for w in _engine_words():
+        form = burau.homology_rep(w.strands).form
+        for k, letter in enumerate(w.letters):
+            s, c = burau._letter(letter)
+            suffix = burau.burau_matrix(BraidWord(w.strands, w.letters[k + 1:]))
+            a = _minus_id(suffix)
+            ref = ref_particular_solution(a, [int(i == c) for i in range(len(a))])
+            rank, solution = linkinv._image_solve(form, suffix, c)
+            assert rank == linalg.rank(linalg.frac_matrix(a))
+            assert (solution is None) == (ref is None)
+            term = linkinv.meyer_letter(form, letter, suffix)
+            if ref is not None:
+                x, den = ref
+                omega = Fraction(sum(xj * row[c] for xj, row in zip(x, form)), den)
+                assert solution[1] > 0 and Fraction(*solution) == omega
+                assert term == (s > omega) - (s < omega)
+            else:
+                assert term == 0
+            values[term] += 1
+            checked += 1
+    assert checked >= 10000 and all(values.values()), values
+
+
+def test_c_in_the_image_exactly_when_the_fixed_vectors_are_omega_orthogonal():
+    # The lemma behind reading both engines from one solve: for symplectic
+    # P, im(P - I) = ker(P - I)^omega, so C is in im(P - I) exactly when
+    # omega(k, C) = 0 for every fixed vector k of P.
+    from test_linalg import ref_int_nullspace, ref_particular_solution
+    from veerlab import burau
+
+    inside = outside = 0
+    for form, letter, p in _prefixes():
+        c = burau._letter(letter)[1]
+        a = _minus_id(p)
+        in_image = ref_particular_solution(a, [int(i == c) for i in range(len(a))]) is not None
+        orthogonal = all(sum(kj * row[c] for kj, row in zip(k, form)) == 0
+                         for k in ref_int_nullspace(a))
+        assert in_image == orthogonal == (linkinv._image_solve(form, p, c)[1] is not None)
+        inside += in_image
+        outside += not in_image
+    assert inside > 0 and outside > 0
 
 
 def test_crossing_count_needs_no_nullspace(monkeypatch):

@@ -368,9 +368,28 @@ def test_reducible_numbers_match_the_conjugation_road():
     for _ in range(30000):
         b = random_word(rng, 3, 40)
         if classify(project_b3(b)) is Classification.REDUCIBLE:
-            assert torus._reducible_n_m(b) == ref_reducible_n_m(b), b
+            image = project_b3(b)
+            assert torus._reducible_n_m(image, linking_number(b)) == ref_reducible_n_m(b), b
             checked += 1
     assert checked >= 5000
+
+
+def test_reducible_verdict_projects_the_word_once(monkeypatch):
+    # right_veering hands its image and lk to _reducible_n_m, which does
+    # not project the word again.
+    b = parse_braid("1 -2 2 -2 -1", 3)
+    assert classify(project_b3(b)) is Classification.REDUCIBLE
+    calls = []
+    kernel = _core.word_matrix
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(_core, "word_matrix", counted)
+    verdict = right_veering(b)
+    assert verdict.certificate["type"] == "reducible"
+    assert len(calls) == 1
 
 
 def test_right_veering_matches_the_parent_body():
