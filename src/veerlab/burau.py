@@ -16,14 +16,14 @@ groups embed by adding a trivial strand.
 
 This module is the one place that knows how a letter acts.  The letter
 sigma_i^s is the transvection T = I - s C y^T about C = C_i, with
-y_j = omega(C_j, C), read off the stored integer form.  It has one action
-per side, both in place and O(dim) per letter: `_twist_rows` acts on the
-left (T m changes row c of m) and `_twist_cols` on the right (m T changes
-the at most two columns j with y_j != 0).  Burau images and the Meyer
-engine's suffixes grow on the left, the crossing count's prefixes and the
-lift's on the right.  Dense images are built only on demand
-(`HomologyRep.image`).  The lift to the universal cover runs each letter's
-twist from I to T: its segment is P + t (P T - P).
+y_j = omega(C_j, C) read from the closed form (+1 at j = i - 1, -1 at
+j = i + 1, else 0); no form is stored.  It has one action per side, both
+in place and O(dim) per letter: `_twist_rows` acts on the left (T m
+changes row c of m) and `_twist_cols` on the right (m T changes the at
+most two columns j with y_j != 0).  Burau images and the Meyer engine's
+suffixes grow on the left, the crossing count's prefixes and the lift's
+on the right.  Dense images are built only on demand (`HomologyRep.image`).
+The lift runs each letter's twist from I to T: segment P + t (P T - P).
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ __all__ = [
 # Largest strand count with a representation (even words embed one strand
 # up, so B_n is served for every n <= MAX_STRANDS).  The engines keep
 # dim x dim integer matrices, dim = strands - 1, so time and memory grow
-# quadratically: a one-letter `invariants` report takes about 2 s and
-# 81 MB in B_1601, and 6.5 s and 265 MB in B_3201 (Python 3.11, 2 vCPU).
+# quadratically: a one-letter `invariants` report takes about 1.2 s and
+# 58 MB in B_1601, and 4.3 s and 183 MB in B_3201 (Python 3.11, 2 vCPU).
 MAX_STRANDS = 3201
 # Largest strand count with a dense `Fraction` space (`symplectic_space`),
 # which the `meyer` command, `verify_eq_signature` and the chart engine
@@ -71,31 +71,34 @@ def intersection_form(genus: int) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class HomologyRep:
-    """The integer intersection form for an odd strand count; letters act
-    by the twists read off it."""
+    """B_strands for an odd strand count; letters act by the twists of the
+    closed-form intersection form (`_twist_rows`, `_twist_cols`)."""
 
     strands: int
-    form: tuple
+
+    def identity(self) -> list[list[int]]:
+        """A fresh dim x dim integer identity, dim = strands - 1."""
+        m = [[0] * (self.strands - 1) for _ in range(self.strands - 1)]
+        for i, row in enumerate(m):
+            row[i] = 1
+        return m
 
     def image(self, letter: int) -> list[list[int]]:
         """Dense image of one letter, built on demand."""
-        dim = self.strands - 1
-        m = [[int(i == j) for j in range(dim)] for i in range(dim)]
-        _twist_rows(self.form, letter, m)
+        m = self.identity()
+        _twist_rows(letter, m)
         return m
 
 
-@lru_cache(maxsize=None)
 def homology_rep(strands: int) -> HomologyRep:
-    """The representation of B_strands, built once per strand count.
+    """The representation of B_strands: a checked strand count, nothing built.
 
-    Its form is `intersection_form`, skew with zero diagonal by
-    construction, so omega(C_i, C_i) = 0.  Then every twist
+    Its form omega(C_i, C_j) = delta_{i+1,j} - delta_{i-1,j} is skew with
+    zero diagonal, so omega(C, C) = 0.  Then every twist
     T v = v - s omega(v, C) C is symplectic,
     omega(T u, T v) = omega(u, v) - s omega(u, C) omega(C, v)
     - s omega(v, C) omega(u, C) = omega(u, v), and T_C^s T_C^-s = I.
-    Strand counts above MAX_STRANDS raise `verdict.BoundExceeded`
-    before anything is allocated.
+    Strand counts above MAX_STRANDS raise `verdict.BoundExceeded`.
     """
     if strands % 2 == 0 or strands < 3:
         raise ValueError("homology representation needs odd strands >= 3")
@@ -103,7 +106,7 @@ def homology_rep(strands: int) -> HomologyRep:
         raise verdict.BoundExceeded(
             f"strand bound MAX_STRANDS = {MAX_STRANDS} exceeded ({strands} strands)"
         )
-    return HomologyRep(strands, intersection_form((strands - 1) // 2))
+    return HomologyRep(strands)
 
 
 @lru_cache(maxsize=None)
@@ -116,8 +119,8 @@ def symplectic_space(strands: int) -> SymplecticSpace:
             f"dense strand bound MAX_DENSE_STRANDS = {MAX_DENSE_STRANDS} exceeded "
             f"({strands} strands)"
         )
-    rep = homology_rep(strands if strands % 2 == 1 else strands + 1)
-    return SymplecticSpace(tuple(tuple(Fraction(x) for x in row) for row in rep.form))
+    form = intersection_form(homology_rep(strands | 1).strands // 2)
+    return SymplecticSpace(tuple(tuple(Fraction(x) for x in row) for row in form))
 
 
 def embed_even(b: BraidWord) -> BraidWord:
@@ -139,11 +142,9 @@ def burau_matrix(b: BraidWord) -> tuple[tuple[int, ...], ...]:
     (`_twist_rows`): O(dim) work per letter, not a dense product.
     """
     b = _odd_word(b)
-    form = homology_rep(b.strands).form
-    dim = b.strands - 1
-    out = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    out = homology_rep(b.strands).identity()
     for letter in reversed(b.letters):
-        _twist_rows(form, letter, out)
+        _twist_rows(letter, out)
     return tuple(tuple(row) for row in out)
 
 
@@ -152,26 +153,30 @@ def _letter(letter: int) -> tuple[int, int]:
     return (1 if letter > 0 else -1), abs(letter) - 1
 
 
-def _twist_rows(form, letter: int, m: list[list[int]]) -> None:
-    """Replace m by T_C^s m in place: only row c changes, by -s omega(C_j, C) row j."""
+def _twist_rows(letter: int, m: list[list[int]]) -> None:
+    """Replace m by T_C^s m in place: only row c changes, by -s omega(C_j, C)
+    row j for j = c - 1 (omega = +1) and j = c + 1 (omega = -1)."""
     s, c = _letter(letter)
     row = m[c]
-    for j, f in enumerate(form):
-        if f[c]:
-            row = [x - s * f[c] * y for x, y in zip(row, m[j])]
+    if c > 0:
+        row = [x - s * y for x, y in zip(row, m[c - 1])]
+    if c + 1 < len(m):
+        row = [x + s * y for x, y in zip(row, m[c + 1])]
     m[c] = row
 
 
-def _twist_cols(form, letter: int, m: list[list[int]]) -> None:
-    """Replace m by m T_C^s in place: only the columns j with omega(C_j, C) != 0
-    change, by -s omega(C_j, C) column c (column c itself stays, as
-    omega(C, C) = 0)."""
+def _twist_cols(letter: int, m: list[list[int]]) -> None:
+    """Replace m by m T_C^s in place: only the columns j = c - 1 (omega = +1)
+    and j = c + 1 (omega = -1) change, by -s omega(C_j, C) column c (column c
+    itself stays, as omega(C, C) = 0)."""
     s, c = _letter(letter)
-    for j, f in enumerate(form):
-        if f[c]:
-            g = s * f[c]
-            for row in m:
-                row[j] -= g * row[c]
+    left, right = c > 0, c + 1 < len(m[0])
+    for row in m:
+        x = s * row[c]
+        if left:
+            row[c - 1] -= x
+        if right:
+            row[c + 1] += x
 
 
 @dataclass(frozen=True)
@@ -191,13 +196,11 @@ def lift(b: BraidWord) -> SymplecticLift:
     omega(C_j, C); as y^T C = 0, the one-letter lifts of sigma_i and its
     inverse are pointwise inverse."""
     b = _odd_word(b)
-    form = homology_rep(b.strands).form
-    dim = b.strands - 1
-    prefix = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    prefix = homology_rep(b.strands).identity()
     segments = []
     for letter in b.letters:
         advanced = [list(row) for row in prefix]
-        _twist_cols(form, letter, advanced)
+        _twist_cols(letter, advanced)
         segments.append(tuple(
             tuple(poly.poly([p, q - p]) for p, q in zip(row, arow))
             for row, arow in zip(prefix, advanced)

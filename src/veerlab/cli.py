@@ -65,10 +65,11 @@ def _parse_word(args: argparse.Namespace) -> BraidWord:
 
 def cmd_invariants(args: argparse.Namespace) -> int:
     b = _parse_word(args)
+    lk = linking_number(b)
     report: dict = {
         "word": str(b),
         "strands": b.strands,
-        "lk": linking_number(b),
+        "lk": lk,
     }
     checks: dict[str, bool] = {}
     if b.strands == 3:
@@ -88,7 +89,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
                            "agree": s_seifert == s_meyer}
     report["maslov"] = {"mu": _frac_str(mu), "two_mu": int(2 * mu)}
     checks["dual_engine_signature"] = s_seifert == s_meyer
-    checks["sign_maslov"] = Fraction(s_seifert) == -linking_number(b) + 2 * mu
+    checks["sign_maslov"] = Fraction(s_seifert) == -lk + 2 * mu
     report["identity_checks"] = checks
     _emit(report)
     return EXIT_OK if all(checks.values()) else EXIT_INVARIANT

@@ -113,22 +113,19 @@ def meyer_signature(b: BraidWord) -> int:
     no Fraction matrix is built.
     """
     b = burau._odd_word(b)
-    form = burau.homology_rep(b.strands).form
-    dim = b.strands - 1
-    suffix = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    suffix = burau.homology_rep(b.strands).identity()
     total = 0
     for letter in reversed(b.letters):
-        total += meyer_letter(form, letter, suffix)
-        burau._twist_rows(form, letter, suffix)
+        total += meyer_letter(letter, suffix)
+        burau._twist_rows(letter, suffix)
     return -total
 
 
-def meyer_letter(form, letter: int, suffix) -> int:
+def meyer_letter(letter: int, suffix) -> int:
     """Meyer(A, B) for a letter image A = T_C^s and an integer image B.
 
     A is the twist v -> v - s omega(v, C) C about C = C_{|letter|}, s the
-    letter's sign; B = `suffix` is symplectic, and `form` is the integer
-    intersection form.  Then
+    letter's sign, and B = `suffix` is an integer symplectic image.  Then
 
         Meyer(A, B) = sign(s - omega(a, C)) if (B - I) a = C is solvable,
                       0 otherwise.
@@ -149,7 +146,7 @@ def meyer_letter(form, letter: int, suffix) -> int:
     s den - w.
     """
     s, c = burau._letter(letter)
-    solution = _image_solve(form, suffix, c)[1]
+    solution = _image_solve(suffix, c)[1]
     if solution is None:
         return 0
     w, den = solution
@@ -202,34 +199,33 @@ def maslov_of_word(b: BraidWord) -> Fraction:
     independent cross-check.
     """
     b = burau._odd_word(b)
-    form = burau.homology_rep(b.strands).form
-    dim = b.strands - 1
-    prefix = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    prefix = burau.homology_rep(b.strands).identity()
     segments = []  # (s, r(0), r_g, whether 0 < t* < 1) per letter
     for letter in b.letters:
         s, c = burau._letter(letter)
-        r0, solution = _image_solve(form, prefix, c)
+        r0, solution = _image_solve(prefix, c)
         if solution is None:
             segments.append((s, r0, r0 + 1, False))
         else:
             w, den = solution
             segments.append((s, r0, r0, s * w > den))
-        burau._twist_cols(form, letter, prefix)
+        burau._twist_cols(letter, prefix)
     # r(1) of a segment is r(0) of the next; the last one's is rank(g - I),
     # which the solve reads for any column.
-    ends = [seg[1] for seg in segments[1:]] + [_image_solve(form, prefix, 0)[0]]
+    ends = [seg[1] for seg in segments[1:]] + [_image_solve(prefix, 0)[0]]
     two_mu = sum(_segment_term(*seg, r1) for seg, r1 in zip(segments, ends))
     return Fraction(two_mu, 2)
 
 
-def _image_solve(form, m, c: int) -> tuple[int, tuple[int, int] | None]:
+def _image_solve(m, c: int) -> tuple[int, tuple[int, int] | None]:
     """(rank(M - I), (w, den) or None): is C = C_{c+1} in im(M - I)?
 
     One `linalg.echelon` of the integer matrix [M - I | C].  A pivot in the
     last column means no solution.  Otherwise z_p = row[dim] / row[p] at
     each pivot column p (free variables zero) solves (M - I) z = C, and
-    w / den = omega(z, C).  Only the columns p with omega(C_p, C) != 0
-    enter, so den > 0 is the lcm of their pivots alone: a positive
+    w / den = omega(z, C).  In closed form omega(C_p, C) = c - p when
+    |c - p| = 1 and 0 otherwise, so only the pivots p = c - 1 and c + 1
+    enter, and den > 0 is the lcm of their pivots alone: a positive
     rescaling of (w, den) moves neither sign(s den - w) nor s w > den.
     """
     dim = len(m)
@@ -239,7 +235,7 @@ def _image_solve(form, m, c: int) -> tuple[int, tuple[int, int] | None]:
     )
     if pivots and pivots[-1] == dim:
         return len(pivots) - 1, None
-    terms = [(row[dim], row[p], form[p][c]) for row, p in zip(rows, pivots) if form[p][c]]
+    terms = [(row[dim], row[p], c - p) for row, p in zip(rows, pivots) if abs(c - p) == 1]
     den = lcm(*(q for _, q, _ in terms))
     return len(pivots), (sum(z * (den // q) * f for z, q, f in terms), den)
 

@@ -183,7 +183,7 @@ def suite_meyer_cocycle(count: int, seed: int) -> dict:
             letter, rest = words[0].letters[0], words[0].letters[1:]
             rep = burau.homology_rep(strands)
             suffix = burau.burau_matrix(BraidWord(strands, rest))
-            rank_one = linkinv.meyer_letter(rep.form, letter, suffix)
+            rank_one = linkinv.meyer_letter(letter, suffix)
             closed_one = symplectic.meyer_closed_form(space, rep.image(letter), suffix)
             if rank_one != closed_one:
                 failures.append({"strands": strands, "letter": letter,

@@ -1,7 +1,9 @@
+import dataclasses
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -72,13 +74,27 @@ def test_intersection_form():
         for j in range(4):
             expected = (1 if j == i + 1 else 0) - (1 if j == i - 1 else 0)
             assert form[i][j] == expected
-    # The one builder of the form: skew with zero diagonal, so every twist
-    # is symplectic, and it is what the representation stores.
+    # The one builder of the dense form: skew with zero diagonal, so every
+    # twist is symplectic.  The dense space is built from it, and each
+    # letter image is the twist I - s C_i y^T with y_j = form[j][i - 1].
     for genus in (1, 2, 5, 20):
         form = burau.intersection_form(genus)
         assert linalg.is_skew(form)
         assert all(type(x) is int for row in form for x in row)
-        assert burau.homology_rep(2 * genus + 1).form == form
+        assert [list(row) for row in burau.symplectic_space(2 * genus + 1).form] == (
+            linalg.frac_matrix(form))
+        rep = burau.homology_rep(2 * genus + 1)
+        for i in range(1, 2 * genus + 1):
+            for s in (1, -1):
+                assert rep.image(s * i) == ref_form_twist(form, i, s), (genus, s * i)
+
+
+def ref_form_twist(form, i: int, s: int) -> list[list[int]]:
+    """T = I - s C y^T for C = C_i, with y_j = omega(C_j, C) read from the
+    dense form."""
+    dim = len(form)
+    return [[int(r == c) - s * int(r == i - 1) * form[c][i - 1] for c in range(dim)]
+            for r in range(dim)]
 
 
 def test_embed_even():
@@ -175,7 +191,8 @@ def test_inverse_images_are_stored_and_integral():
         for i in range(1, n):
             assert rep.image(-i) == linalg.inverse(linalg.frac_matrix(rep.image(i)))
             assert all(type(x) is int for row in rep.image(-i) for x in row)
-        assert all(type(x) is int for row in rep.form for x in row)
+        # The representation stores its strand count and nothing dense.
+        assert [f.name for f in dataclasses.fields(rep)] == ["strands"]
 
 
 def ref_burau_matrix(b):
@@ -231,9 +248,46 @@ def test_letter_images_match_the_dense_reference():
         dim = n - 1
         gens = [ref_twist_matrix(dim, i) for i in range(1, n)]
         invs = [ref_twist_matrix(dim, i, -1) for i in range(1, n)]
-        assert ref_dense_check(rep.form, gens, invs), n
+        assert ref_dense_check(burau.intersection_form(dim // 2), gens, invs), n
         for i in range(1, n):
             assert rep.image(i) == gens[i - 1] and rep.image(-i) == invs[i - 1], (n, i)
+
+
+def _ref_mul(a, b):
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def test_twists_match_the_dense_transvection():
+    # The closed-form neighbours against T = I - s C y^T, y_j = omega(C_j, C)
+    # read from the dense form: T m on the left, m T on the right, on random
+    # integer m, for the first, the last and an interior generator.
+    rng = random.Random(4601)
+    genera = [1, 2, 40] + [rng.randint(1, 40) for _ in range(6)]
+    for genus in genera:
+        form, dim = burau.intersection_form(genus), 2 * genus
+        m = [[rng.randint(-9, 9) for _ in range(dim)] for _ in range(dim)]
+        for i in {1, dim, rng.randint(1, dim)}:
+            for s in (1, -1):
+                t = ref_form_twist(form, i, s)
+                left = [list(row) for row in m]
+                burau._twist_rows(s * i, left)
+                assert left == _ref_mul(t, m), (genus, s * i)
+                right = [list(row) for row in m]
+                burau._twist_cols(s * i, right)
+                assert right == _ref_mul(m, t), (genus, s * i)
+
+
+def test_homology_rep_allocates_nothing_dense():
+    # The widest representation costs a bound check, not a dim x dim form.
+    tracemalloc.start()
+    try:
+        rep = burau.homology_rep(burau.MAX_STRANDS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.strands == burau.MAX_STRANDS
+    assert peak < 64 * 1024, peak
 
 
 def _ref_pm_mul(a, b):

@@ -398,9 +398,9 @@ def test_integer_callers_pass_rows_straight_to_the_elimination(monkeypatch):
         systems.append([[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)])
         n = rng.choice([3, 5, 7])
         w = random_word(rng, n, 8)
-        letters.append((burau.homology_rep(n).form, rng.randint(1, n - 1), burau.burau_matrix(w)))
+        letters.append((rng.randint(1, n - 1), burau.burau_matrix(w)))
     kernels = [linalg.int_nullspace(a) for a in systems]
-    solves = [linkinv._image_solve(form, m, c - 1) for form, c, m in letters]
+    solves = [linkinv._image_solve(m, c - 1) for c, m in letters]
     for a, kernel in zip(systems, kernels):
         assert linalg.rank(linalg.frac_matrix(a)) == len(ref_echelon(linalg.frac_matrix(a))[1])
         assert all(sum(map(mul, row, v)) == 0 for row in a for v in kernel)
@@ -411,7 +411,7 @@ def test_integer_callers_pass_rows_straight_to_the_elimination(monkeypatch):
     monkeypatch.setattr(linalg, "_cleared", forbidden)
     monkeypatch.setattr(linalg, "cleared_matrix", forbidden)
     assert [linalg.int_nullspace(a) for a in systems] == kernels
-    assert [linkinv._image_solve(form, m, c - 1) for form, c, m in letters] == solves
+    assert [linkinv._image_solve(m, c - 1) for c, m in letters] == solves
 
 
 def int_system(rng, k, rows, cols):

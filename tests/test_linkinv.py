@@ -216,10 +216,10 @@ def test_crossing_count_rejects_a_rank_two_drop(monkeypatch):
     real_solve = linkinv._image_solve
     ranks = []
 
-    def forged(form, m, c):
+    def forged(m, c):
         # Forge the final rank, rank(g - I) after the last letter, two below
         # the generic rank of the last segment.
-        r, solution = real_solve(form, m, c)
+        r, solution = real_solve(m, c)
         ranks.append(r)
         return (r - 2 if len(ranks) == len(w) + 1 else r), solution
 
@@ -274,7 +274,7 @@ def test_rank_one_term_matches_the_closed_form():
     for n, letter, w in _letter_pairs():
         rep = burau.homology_rep(n)
         suffix = burau.burau_matrix(w)
-        term = linkinv.meyer_letter(rep.form, letter, suffix)
+        term = linkinv.meyer_letter(letter, suffix)
         closed = symplectic.meyer_closed_form(
             burau.symplectic_space(n),
             linalg.frac_matrix(rep.image(letter)),
@@ -379,11 +379,12 @@ def _engine_words():
 
 def _prefixes():
     """(form, letter, P) for every letter of every engine word, P the image
-    of the letters before it, each built by `burau_matrix` on its own."""
+    of the letters before it, each built by `burau_matrix` on its own, and
+    form the dense intersection form as a reference."""
     from veerlab import burau
 
     for w in _engine_words():
-        form = burau.homology_rep(w.strands).form
+        form = burau.intersection_form(w.strands // 2)
         for k, letter in enumerate(w.letters):
             yield form, letter, burau.burau_matrix(BraidWord(w.strands, w.letters[:k]))
 
@@ -430,16 +431,16 @@ def test_image_solve_matches_the_reference_solution_on_every_suffix():
     values = {-1: 0, 0: 0, 1: 0}
     checked = 0
     for w in _engine_words():
-        form = burau.homology_rep(w.strands).form
+        form = burau.intersection_form(w.strands // 2)
         for k, letter in enumerate(w.letters):
             s, c = burau._letter(letter)
             suffix = burau.burau_matrix(BraidWord(w.strands, w.letters[k + 1:]))
             a = _minus_id(suffix)
             ref = ref_particular_solution(a, [int(i == c) for i in range(len(a))])
-            rank, solution = linkinv._image_solve(form, suffix, c)
+            rank, solution = linkinv._image_solve(suffix, c)
             assert rank == linalg.rank(linalg.frac_matrix(a))
             assert (solution is None) == (ref is None)
-            term = linkinv.meyer_letter(form, letter, suffix)
+            term = linkinv.meyer_letter(letter, suffix)
             if ref is not None:
                 x, den = ref
                 omega = Fraction(sum(xj * row[c] for xj, row in zip(x, form)), den)
@@ -466,7 +467,7 @@ def test_c_in_the_image_exactly_when_the_fixed_vectors_are_omega_orthogonal():
         in_image = ref_particular_solution(a, [int(i == c) for i in range(len(a))]) is not None
         orthogonal = all(sum(kj * row[c] for kj, row in zip(k, form)) == 0
                          for k in ref_int_nullspace(a))
-        assert in_image == orthogonal == (linkinv._image_solve(form, p, c)[1] is not None)
+        assert in_image == orthogonal == (linkinv._image_solve(p, c)[1] is not None)
         inside += in_image
         outside += not in_image
     assert inside > 0 and outside > 0
